@@ -2,8 +2,8 @@
 // in-process runtime on the same machine.
 //
 // Two measurements:
-//   1. Round-trip overhead — serial fanout-1 queries with near-zero service
-//      time; the measured query latency is almost entirely dispatch cost
+//   1. Round-trip overhead — serial fanout-1 queries with zero service time
+//      on both paths; the measured query latency is entirely dispatch cost
 //      (deadline computation + wire serde + loopback TCP + poll loops) for
 //      the remote path, and deadline computation + queue handoff for the
 //      in-process path. The difference is what going distributed costs.
@@ -28,13 +28,17 @@ using namespace tailguard;
 namespace {
 
 struct LatencyStats {
+  std::size_t samples = 0;
   double mean = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
+  /// p99 is reported only with at least 10 samples beyond it.
+  bool p99_valid() const { return samples >= 1000; }
 };
 
 LatencyStats stats_of(std::vector<double> v) {
   LatencyStats s;
+  s.samples = v.size();
   if (v.empty()) return s;
   std::sort(v.begin(), v.end());
   for (double x : v) s.mean += x;
@@ -44,7 +48,7 @@ LatencyStats stats_of(std::vector<double> v) {
   return s;
 }
 
-/// Serial fanout-1 queries with ~0 service time: latency == dispatch cost.
+/// Serial fanout-1 queries with zero service time: latency == dispatch cost.
 template <typename SubmitFn>
 LatencyStats round_trip(std::size_t queries, SubmitFn&& submit) {
   std::vector<double> lat;
@@ -83,9 +87,7 @@ int main(int argc, char** argv) {
   service.seed_profile(profile);
 
   const LatencyStats local = round_trip(rt_queries, [&] {
-    std::vector<ServiceTaskSpec> tasks(1);
-    tasks[0].simulated_service_ms = 0.05;
-    return service.submit(0, std::move(tasks));
+    return service.submit(0, std::vector<ServiceTaskSpec>(1));
   });
 
   // --- networked fleet on loopback --------------------------------------
@@ -108,34 +110,40 @@ int main(int argc, char** argv) {
   dispatcher.seed_profile(profile);
 
   const LatencyStats remote = round_trip(rt_queries, [&] {
-    std::vector<net::RemoteTaskSpec> tasks(1);
-    tasks[0].simulated_service_ms = 0.05;
-    return dispatcher.submit(0, std::move(tasks));
+    return dispatcher.submit(0, std::vector<net::RemoteTaskSpec>(1));
   });
 
-  bench::section("round-trip dispatch overhead (fanout 1, ~0 ms service)");
-  std::printf("%-12s %10s %10s %10s\n", "path", "mean", "p50", "p99");
-  std::printf("%-12s %8.3f ms %8.3f ms %8.3f ms\n", "in-process", local.mean,
-              local.p50, local.p99);
-  std::printf("%-12s %8.3f ms %8.3f ms %8.3f ms\n", "remote-tcp", remote.mean,
-              remote.p50, remote.p99);
-  std::printf("overhead: +%.3f ms mean, +%.3f ms p99 (%zu queries)\n",
-              remote.mean - local.mean, remote.p99 - local.p99, rt_queries);
-  report.row()
-      .add("measurement", "round_trip_in_process")
-      .add("mean_ms", local.mean)
-      .add("p50_ms", local.p50)
-      .add("p99_ms", local.p99);
-  report.row()
-      .add("measurement", "round_trip_remote_tcp")
-      .add("mean_ms", remote.mean)
-      .add("p50_ms", remote.p50)
-      .add("p99_ms", remote.p99);
+  bench::section("round-trip dispatch overhead (fanout 1, zero service)");
+  std::printf("%-12s %10s %10s %10s %8s\n", "path", "mean", "p50", "p99",
+              "samples");
+  const auto print_path = [](const char* path, const LatencyStats& s) {
+    char p99[32] = "-";
+    if (s.p99_valid()) std::snprintf(p99, sizeof(p99), "%.3f ms", s.p99);
+    std::printf("%-12s %8.3f ms %8.3f ms %11s %8zu\n", path, s.mean, s.p50,
+                p99, s.samples);
+  };
+  print_path("in-process", local);
+  print_path("remote-tcp", remote);
+  std::printf("overhead: +%.3f ms mean, +%.3f ms p50 (%zu queries per path)\n",
+              remote.mean - local.mean, remote.p50 - local.p50, rt_queries);
+  const auto row = [&](const char* measurement, const LatencyStats& s) {
+    auto& r = report.row()
+                  .add("measurement", measurement)
+                  .add("samples", static_cast<double>(s.samples))
+                  .add("mean_ms", s.mean)
+                  .add("p50_ms", s.p50);
+    if (s.p99_valid()) r.add("p99_ms", s.p99);
+  };
+  row("round_trip_in_process", local);
+  row("round_trip_remote_tcp", remote);
   // Fanout-1 queries, so per-query overhead == per-task overhead.
-  report.row()
-      .add("measurement", "dispatch_overhead_per_task")
-      .add("mean_ms", remote.mean - local.mean)
-      .add("p99_ms", remote.p99 - local.p99);
+  auto& overhead = report.row()
+                       .add("measurement", "dispatch_overhead_per_task")
+                       .add("samples", static_cast<double>(rt_queries))
+                       .add("mean_ms", remote.mean - local.mean)
+                       .add("p50_ms", remote.p50 - local.p50);
+  if (local.p99_valid() && remote.p99_valid())
+    overhead.add("p99_ms", remote.p99 - local.p99);
 
   // --- loaded tails ------------------------------------------------------
   const std::size_t loaded_queries = bench::queries(400);

@@ -9,7 +9,9 @@
 //                     slot into the entry slab — never a hash probe. Erased
 //                     entries recycle through a freelist, so resident memory
 //                     is proportional to the live count plus 4 bytes per id
-//                     ever inserted.
+//                     ever inserted — or, for owners whose ids only grow and
+//                     who call drop_dead_prefix(), per id since the oldest
+//                     live one.
 //  * SlabHashCache<T> — insert-only cache keyed by caller-supplied 64-bit
 //                     keys, open-addressed: a power-of-two bucket table of
 //                     uint32_t slots over a dense entry slab. clear() keeps
@@ -18,10 +20,11 @@
 //
 // Both are deterministic: SlabMap iterates live entries in id order
 // regardless of the insert/erase history, and SlabHashCache's layout depends
-// only on the key sequence. Neither shrinks; both expose reserve() so
-// callers sizing from a known workload can pin capacity before a hot loop.
+// only on the key sequence. Neither releases capacity; both expose reserve()
+// so callers sizing from a known workload can pin capacity before a hot loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -52,9 +55,11 @@ class SlabMap {
 
   /// Inserts a default-constructed entry for `id` (which must not be live)
   /// and returns it. Ids may arrive in any order within the progression;
-  /// gaps in the slot table are backfilled as absent.
+  /// gaps in the slot table are backfilled as absent. After
+  /// drop_dead_prefix(), ids must lie past the dropped prefix.
   T& emplace(std::uint64_t id) {
-    const std::uint64_t idx = index_of(id);
+    TG_DCHECK(index_of(id) >= dropped_ + dead_prefix_);
+    const std::uint64_t idx = index_of(id) - dropped_;
     if (idx >= slot_by_idx_.size()) slot_by_idx_.resize(idx + 1, kNoSlot);
     TG_DCHECK(slot_by_idx_[idx] == kNoSlot);
     std::uint32_t slot;
@@ -85,7 +90,8 @@ class SlabMap {
 
   /// Removes `id`'s entry, recycling its slot. Returns whether it was live.
   bool erase(std::uint64_t id) {
-    const std::uint64_t idx = index_of(id);
+    if (index_of(id) < dropped_) return false;
+    const std::uint64_t idx = index_of(id) - dropped_;
     if (idx >= slot_by_idx_.size() || slot_by_idx_[idx] == kNoSlot)
       return false;
     free_slots_.push_back(slot_by_idx_[idx]);
@@ -97,6 +103,21 @@ class SlabMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// For owners whose ids only grow: keeps the id table proportional to the
+  /// span from the oldest live id, not to every id ever inserted. Advances
+  /// past dead leading slots and erases them once they are at least
+  /// kMinDroppedPrefix slots and half the table. Amortized O(1): each slot
+  /// is passed once and moved at most once per erase that drops at least as
+  /// many. Allocates nothing.
+  void drop_dead_prefix() {
+    while (dead_prefix_ < slot_by_idx_.size() &&
+           slot_by_idx_[dead_prefix_] == kNoSlot)
+      ++dead_prefix_;
+    if (dead_prefix_ >= kMinDroppedPrefix &&
+        2 * dead_prefix_ >= slot_by_idx_.size()) [[unlikely]]
+      erase_dead_prefix();
+  }
+
   /// Forgets every entry and the id history (ids restart from the
   /// progression's beginning) while keeping all allocations — the arena
   /// reset between simulator runs.
@@ -105,41 +126,59 @@ class SlabMap {
     free_slots_.clear();
     slab_.clear();
     size_ = 0;
+    dropped_ = 0;
+    dead_prefix_ = 0;
   }
 
   /// Visits live entries as fn(id, T&) in ascending id order — deterministic
   /// for any insert/erase history over the same live set.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (std::uint64_t idx = 0; idx < slot_by_idx_.size(); ++idx)
+    for (std::uint64_t idx = dead_prefix_; idx < slot_by_idx_.size(); ++idx)
       if (slot_by_idx_[idx] != kNoSlot)
-        fn(start_ + idx * stride_, slab_[slot_by_idx_[idx]]);
+        fn(start_ + (dropped_ + idx) * stride_, slab_[slot_by_idx_[idx]]);
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::uint64_t idx = 0; idx < slot_by_idx_.size(); ++idx)
+    for (std::uint64_t idx = dead_prefix_; idx < slot_by_idx_.size(); ++idx)
       if (slot_by_idx_[idx] != kNoSlot)
-        fn(start_ + idx * stride_, slab_[slot_by_idx_[idx]]);
+        fn(start_ + (dropped_ + idx) * stride_, slab_[slot_by_idx_[idx]]);
   }
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::uint64_t kMinDroppedPrefix = 4096;
 
   std::uint64_t index_of(std::uint64_t id) const {
     return stride_ == 1 ? id : (id - start_) / stride_;
   }
 
+  // Out of line: runs once per kMinDroppedPrefix or more completions, and
+  // keeps the inlined per-completion check small.
+  [[gnu::noinline]] void erase_dead_prefix() {
+    slot_by_idx_.erase(slot_by_idx_.begin(),
+                       slot_by_idx_.begin() +
+                           static_cast<std::ptrdiff_t>(dead_prefix_));
+    dropped_ += dead_prefix_;
+    dead_prefix_ = 0;
+  }
+
   std::uint32_t slot_of(std::uint64_t id) const {
     const std::uint64_t idx = index_of(id);
-    return idx < slot_by_idx_.size() ? slot_by_idx_[idx] : kNoSlot;
+    if (idx < dropped_) return kNoSlot;  // dropped prefix: dead by contract
+    return idx - dropped_ < slot_by_idx_.size() ? slot_by_idx_[idx - dropped_]
+                                                : kNoSlot;
   }
 
   std::vector<T> slab_;                    ///< slot -> entry (recycled)
-  std::vector<std::uint32_t> slot_by_idx_; ///< index -> slot, kNoSlot if dead
+  /// (index - dropped_) -> slot, kNoSlot if dead.
+  std::vector<std::uint32_t> slot_by_idx_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t size_ = 0;
   std::uint64_t start_ = 0;
   std::uint64_t stride_ = 1;
+  std::uint64_t dropped_ = 0;      ///< indices erased off the table's front
+  std::uint64_t dead_prefix_ = 0;  ///< leading table entries known dead
 };
 
 template <typename T>

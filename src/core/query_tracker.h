@@ -14,9 +14,11 @@
 // (facade -> control plane -> tracker -> slab) with no cross-TU calls. The
 // strided form exists for the sharded control plane: shard i of N allocates
 // (i, N), so ids are globally unique across shards and id % N recovers the
-// owning shard. The id table grows by 4 bytes per query ever started and is
-// never shrunk; slots of finished queries are recycled through a freelist,
-// so resident state is proportional to the in-flight count.
+// owning shard. Ids only grow, so complete_task drops the id table's dead
+// prefix (SlabMap::drop_dead_prefix): the table spans the oldest in-flight
+// query onwards, and a long-running service does not grow 4 bytes per query.
+// Slots of finished queries are recycled through a freelist, so resident
+// state is proportional to the in-flight count.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +74,7 @@ class QueryTracker {
     if (--st->remaining > 0) return false;
     if (finished != nullptr) *finished = *st;
     states_.erase(id);
+    states_.drop_dead_prefix();
     return true;
   }
 

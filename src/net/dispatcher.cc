@@ -104,6 +104,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
   std::promise<QueryResult> promise;
   std::future<QueryResult> future = promise.get_future();
   std::vector<Resolution> resolutions;
+  bool wake = false;
   {
     MutexLock lock(mu_);
     const TimeMs t0 = now_ms();
@@ -191,6 +192,12 @@ std::future<QueryResult> RemoteDispatcher::submit(
       pending.result.deadline_budget_ms = plan.budget_ms;
       pending_.emplace(qid, std::move(pending));
 
+      // Deadlines are t0 plus a constant and t0 only grows under mu_, so
+      // appending keeps the timeout FIFO in deadline order.
+      const TimeMs timeout_at_ms = t0 + options_.task_timeout_ms;
+      TG_DCHECK(timeouts_.empty() ||
+                timeouts_.back().first <= timeout_at_ms);
+      std::vector<ServerId> touched;
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         if (failed_at_submit[i]) {
           finish_task(qid, /*missed=*/false, /*failed=*/true, &resolutions);
@@ -204,15 +211,22 @@ std::future<QueryResult> RemoteDispatcher::submit(
         msg.simulated_service_ms = tasks[i].simulated_service_ms;
         ServerConn& conn = servers_[placement[i]];
         // Frames for the same server coalesce into one chunk here and leave
-        // in a single vectored send from the net loop.
+        // in a single vectored send below.
         encode_into(msg, conn.out.chunk());
         ++conn.in_flight;
         in_flight_.emplace(msg.task, InFlightTask{qid, placement[i]});
-        timeouts_.emplace(t0 + options_.task_timeout_ms, msg.task);
+        timeouts_.emplace_back(timeout_at_ms, msg.task);
+        if (std::find(touched.begin(), touched.end(), placement[i]) ==
+            touched.end())
+          touched.push_back(placement[i]);
       }
+      for (ServerId s : touched) wake |= send_now(servers_[s]);
+      // The loop sleeps until armed_until_ms_ at the latest; a timeout due
+      // before then needs it awake sooner.
+      wake |= !touched.empty() && timeout_at_ms < armed_until_ms_;
     }
   }
-  wake_.wake();
+  if (wake) wake_.wake();
   resolve(std::move(resolutions));
   return future;
 }
@@ -243,9 +257,10 @@ std::size_t RemoteDispatcher::alive_servers_locked() const {
 void RemoteDispatcher::request_stats(ServerId server) {
   MutexLock lock(mu_);
   TG_CHECK_MSG(server < servers_.size(), "unknown server " << server);
-  if (servers_[server].state != ConnState::kAlive) return;
-  encode_into(StatsRequestMsg{}, servers_[server].out.chunk());
-  wake_.wake();
+  ServerConn& conn = servers_[server];
+  if (conn.state != ConnState::kAlive) return;
+  encode_into(StatsRequestMsg{}, conn.out.chunk());
+  if (send_now(conn)) wake_.wake();
 }
 
 std::optional<StatsResponseMsg> RemoteDispatcher::last_stats(
@@ -345,17 +360,35 @@ void RemoteDispatcher::finish_task(QueryId query, bool missed, bool failed,
 
 void RemoteDispatcher::expire_timeouts(TimeMs now,
                                        std::vector<Resolution>* resolutions) {
-  while (!timeouts_.empty() && timeouts_.begin()->first <= now) {
-    const TaskId task = timeouts_.begin()->second;
-    timeouts_.erase(timeouts_.begin());
+  // Answered tasks leave the front whatever their deadline, so the FIFO
+  // spans only the oldest in-flight task onwards, not the whole timeout.
+  while (!timeouts_.empty()) {
+    const auto [deadline, task] = timeouts_.front();
     const auto it = in_flight_.find(task);
-    if (it == in_flight_.end()) continue;  // already answered; lazy deletion
+    if (it != in_flight_.end() && deadline > now) break;
+    timeouts_.pop_front();
+    if (it == in_flight_.end()) continue;  // already answered or failed
     const QueryId query = it->second.query;
     ServerConn& conn = servers_[it->second.server];
     if (conn.in_flight > 0) --conn.in_flight;
     in_flight_.erase(it);
     finish_task(query, /*missed=*/false, /*failed=*/true, resolutions);
   }
+}
+
+bool RemoteDispatcher::send_now(ServerConn& conn) {
+  if (conn.send_failed) return false;  // the loop is already told
+  switch (conn.out.flush(conn.fd.get())) {
+    case SendQueue::FlushResult::kDrained:
+      return false;
+    case SendQueue::FlushResult::kBlocked:
+      return true;  // the loop arms EPOLLOUT and finishes the send
+    case SendQueue::FlushResult::kError:
+      // Only the net thread may forget and close the fd.
+      conn.send_failed = true;
+      return true;
+  }
+  return true;
 }
 
 void RemoteDispatcher::resolve(std::vector<Resolution> resolutions) {
@@ -389,6 +422,7 @@ void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
   conn.backoff_ms =
       std::min(conn.backoff_ms * 2.0, options_.reconnect_max_backoff_ms);
   conn.in_flight = 0;
+  conn.send_failed = false;
   // A restarted daemon restarts its gossip capability and seq; forget both.
   conn.gossip_capable = false;
   conn.last_gossip_seq = 0;
@@ -414,6 +448,9 @@ bool RemoteDispatcher::read_server(ServerId server,
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket; skip the recv that would only
+      // return EAGAIN. Level-triggered polling reports any later bytes.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
     } else if (n == 0) {
       return false;
     } else {
@@ -533,7 +570,8 @@ void RemoteDispatcher::net_loop() {
       }
       if (!timeouts_.empty())
         poll_timeout_ms =
-            std::min(poll_timeout_ms, timeouts_.begin()->first - now);
+            std::min(poll_timeout_ms, timeouts_.front().first - now);
+      armed_until_ms_ = now + poll_timeout_ms;
     }
     resolve(std::move(resolutions));
     resolutions.clear();
@@ -580,16 +618,16 @@ void RemoteDispatcher::net_loop() {
         if (!ok) disconnect(s, now, &resolutions);
       }
 
-      // Opportunistic flush over every live connection: submit() queues
-      // frames from caller threads and rings the wake pipe, so pending
-      // output usually arrives with no POLLOUT event at all. One vectored
-      // send drains a whole burst.
+      // submit() sends from the caller's thread; what is left here is the
+      // loop's own output (Hello) and the tail of a write that blocked,
+      // which EPOLLOUT now lets through. A send that failed on a caller's
+      // thread is torn down here, where the fd may be forgotten and closed.
       for (std::size_t s = 0; s < servers_.size(); ++s) {
         ServerConn& conn = servers_[s];
-        if (!conn.fd.valid() || conn.state == ConnState::kConnecting ||
-            conn.out.empty())
-          continue;
-        if (conn.out.flush(conn.fd.get()) == SendQueue::FlushResult::kError)
+        if (!conn.fd.valid() || conn.state == ConnState::kConnecting) continue;
+        if (conn.send_failed ||
+            (!conn.out.empty() &&
+             conn.out.flush(conn.fd.get()) == SendQueue::FlushResult::kError))
           disconnect(static_cast<ServerId>(s), now, &resolutions);
       }
     }

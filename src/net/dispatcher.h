@@ -21,8 +21,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -161,8 +161,12 @@ class RemoteDispatcher {
     FrameBuffer in;
     /// Outbound frames, coalesced and flushed with vectored sends. Encode
     /// with `encode_into(msg, conn.out.chunk())` — a fan-out burst of
-    /// SubmitTask frames becomes one buffer and one syscall.
+    /// SubmitTask frames becomes one buffer and one syscall, sent by
+    /// send_now() on the thread that queued it.
     SendQueue out;
+    /// A write-through send failed on a caller's thread; the net loop
+    /// disconnects (only it may forget and close the fd).
+    bool send_failed = false;
     TimeMs next_attempt_ms = 0.0;
     TimeMs backoff_ms = 0.0;
     std::size_t in_flight = 0;
@@ -207,6 +211,10 @@ class RemoteDispatcher {
                    std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
   void expire_timeouts(TimeMs now, std::vector<Resolution>* resolutions)
       TG_REQUIRES(mu_);
+  /// Write-through: flushes `conn` on the calling thread. Returns whether
+  /// the net loop must be woken — to arm EPOLLOUT after a partial write, or
+  /// to disconnect after a send error.
+  bool send_now(ServerConn& conn) TG_REQUIRES(mu_);
   std::size_t alive_servers_locked() const TG_REQUIRES(mu_);
   static void resolve(std::vector<Resolution> resolutions);
 
@@ -214,8 +222,9 @@ class RemoteDispatcher {
   DispatcherOptions options_;
   // tg-lint: allow(guarded-member): immutable after construction.
   std::chrono::steady_clock::time_point epoch_;
-  // WakePipe is self-synchronizing: write end poked from any thread, read
-  // end drained by the net thread. tg-lint: allow(guarded-member)
+  // WakePipe is self-synchronizing: rung by a caller only when the loop must
+  // act (see send_now() and armed_until_ms_), drained by the net thread.
+  // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
   std::unique_ptr<Poller> poller_;
@@ -231,7 +240,13 @@ class RemoteDispatcher {
   ShardedControlPlane control_ TG_GUARDED_BY(mu_);
   std::unordered_map<QueryId, PendingQuery> pending_ TG_GUARDED_BY(mu_);
   std::unordered_map<TaskId, InFlightTask> in_flight_ TG_GUARDED_BY(mu_);
-  std::multimap<TimeMs, TaskId> timeouts_ TG_GUARDED_BY(mu_);
+  /// (deadline, task) in submit order, which is deadline order: every
+  /// deadline is t0 plus the same timeout. Answered tasks are popped off
+  /// the front lazily by expire_timeouts().
+  std::deque<std::pair<TimeMs, TaskId>> timeouts_ TG_GUARDED_BY(mu_);
+  /// When the net loop's current wait ends at the latest; set before each
+  /// wait. A submit whose timeout falls earlier wakes the loop.
+  TimeMs armed_until_ms_ TG_GUARDED_BY(mu_) = 0.0;
   TaskId next_task_id_ TG_GUARDED_BY(mu_) = 0;
   /// Queries that degraded to an immediate all-tasks-failed result without
   /// ever registering with the control plane (no server reachable).

@@ -103,6 +103,9 @@ bool TaskServer::read_connection(std::uint64_t conn_id, Connection& conn) {
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket; skip the recv that would only
+      // return EAGAIN. Level-triggered polling reports any later bytes.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
     } else if (n == 0) {
       return false;  // peer closed
     } else {
@@ -158,11 +161,8 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
                      : msg.cls;
       task.simulated_service_ms = msg.simulated_service_ms;
       task_origin_[msg.task] = {conn_id, now};
-      // Route to the least-backlogged executor.
-      Worker* target = executors_.front().get();
-      for (const auto& e : executors_)
-        if (e->queue_depth() < target->queue_depth()) target = e.get();
-      target->submit(std::move(task), now, now + msg.relative_deadline_ms);
+      submissions_.push_back(
+          {std::move(task), now, now + msg.relative_deadline_ms});
       break;
     }
     case MsgType::kStatsRequest: {
@@ -189,6 +189,7 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
   msg.service_ms = complete_ms - dequeue_ms;
   msg.missed_deadline = missed;
 
+  bool wake = false;
   MutexLock lock(mu_);
   ++tasks_executed_;
   if (missed) ++tasks_missed_;
@@ -200,12 +201,25 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
   }
   msg.queue_ms = dequeue_ms - origin.enqueue_ms;
   const auto conn_it = conns_.find(origin.conn);
-  if (conn_it != conns_.end() && conn_it->second.hello_done &&
+  if (!stopped_ && conn_it != conns_.end() && conn_it->second.hello_done &&
       !conn_it->second.dead && conn_it->second.fd.valid()) {
-    // Completions land in the connection's coalescing buffer; a burst of
-    // them becomes one contiguous chunk and (after the wake) one sendmsg.
-    encode_into(msg, conn_it->second.out.chunk());
-    wake_.wake();
+    // Write-through: the executor sends its own TaskDone, behind anything
+    // already queued on the connection. The net loop is woken only when it
+    // must act: arm EPOLLOUT after a partial write, or close the connection
+    // after a send error (only the net thread may forget and close an fd).
+    Connection& conn = conn_it->second;
+    encode_into(msg, conn.out.chunk());
+    switch (conn.out.flush(conn.fd.get())) {
+      case SendQueue::FlushResult::kDrained:
+        break;
+      case SendQueue::FlushResult::kBlocked:
+        wake = true;
+        break;
+      case SendQueue::FlushResult::kError:
+        conn.dead = true;
+        wake = true;
+        break;
+    }
   } else if (pending_samples_.size() < options_.max_buffered_samples) {
     // No dispatcher to tell: keep the observation for the next ModelSync.
     pending_samples_.push_back(msg.service_ms);
@@ -224,6 +238,7 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
       if (missed) ++other.gossip_dequeues_missed;
     }
   }
+  if (wake) wake_.wake();
 }
 
 void TaskServer::maybe_gossip(TimeMs now) {
@@ -257,11 +272,11 @@ void TaskServer::maybe_gossip(TimeMs now) {
 }
 
 void TaskServer::flush_and_sweep_connections() {
-  // Runs once per loop round, after the readiness events: flush whatever is
-  // queued (completions from executor threads arrive with a wake, not a
-  // POLLOUT, and a Hello handler queues its ack before any writability
-  // event — the opportunistic flush keeps both off the slow path), then
-  // close dead connections and refresh poller interest for the rest.
+  // Runs once per loop round, after the readiness events: flush what the
+  // loop itself queued (handshake replies, stats, gossip) and the tail of a
+  // completion write that blocked, then close dead connections and refresh
+  // poller interest for the rest. Executors send their own TaskDone frames
+  // and wake the loop only when a write blocked or failed.
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = it->second;
     if (!conn.dead && conn.fd.valid() && !conn.out.empty() &&
@@ -285,6 +300,7 @@ void TaskServer::net_loop() {
   poller_->watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
   poller_->watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
   std::vector<Poller::Event> events;
+  std::vector<Submission> submissions;
   while (running_.load(std::memory_order_relaxed)) {
     int timeout_ms = 200;
     if (options_.gossip_interval_ms > 0) {
@@ -298,34 +314,48 @@ void TaskServer::net_loop() {
     poller_->wait(events, timeout_ms);
     if (!running_.load(std::memory_order_relaxed)) break;
 
-    MutexLock lock(mu_);
-    bool accept_ready = false;
-    for (const Poller::Event& ev : events) {
-      if (ev.fd == wake_.read_fd()) {
-        wake_.drain();
-        continue;
+    {
+      MutexLock lock(mu_);
+      bool accept_ready = false;
+      for (const Poller::Event& ev : events) {
+        if (ev.fd == wake_.read_fd()) {
+          wake_.drain();
+          continue;
+        }
+        if (ev.fd == listen_fd_.get()) {
+          accept_ready = true;
+          continue;
+        }
+        const auto id_it = fd_conn_.find(ev.fd);
+        if (id_it == fd_conn_.end()) continue;  // closed earlier this round
+        const auto it = conns_.find(id_it->second);
+        if (it == conns_.end()) continue;
+        Connection& conn = it->second;
+        if (ev.closed) conn.dead = true;
+        if (!conn.dead && ev.readable &&
+            !read_connection(id_it->second, conn))
+          conn.dead = true;
       }
-      if (ev.fd == listen_fd_.get()) {
-        accept_ready = true;
-        continue;
-      }
-      const auto id_it = fd_conn_.find(ev.fd);
-      if (id_it == fd_conn_.end()) continue;  // closed earlier this round
-      const auto it = conns_.find(id_it->second);
-      if (it == conns_.end()) continue;
-      Connection& conn = it->second;
-      if (ev.closed) conn.dead = true;
-      if (!conn.dead && ev.readable &&
-          !read_connection(id_it->second, conn))
-        conn.dead = true;
+      // Accept after the connection events and before the sweep:
+      // descriptors are only ever closed inside the sweep, so an accepted fd
+      // can never alias a stale event in this batch, and the sweep registers
+      // the new connections' read interest with the poller.
+      if (accept_ready) accept_new_connections();
+      maybe_gossip(now_ms());
+      flush_and_sweep_connections();
+      submissions.swap(submissions_);
     }
-    // Accept after the connection events and before the sweep: descriptors
-    // are only ever closed inside the sweep, so an accepted fd can never
-    // alias a stale event in this batch, and the sweep registers the new
-    // connections' read interest with the poller.
-    if (accept_ready) accept_new_connections();
-    maybe_gossip(now_ms());
-    flush_and_sweep_connections();
+    // Executors get this round's tasks only with mu_ released: a burst that
+    // fills an executor's ring then stalls this thread alone, never an
+    // executor waiting for mu_ to report a completion.
+    for (Submission& sub : submissions) {
+      // Route to the least-backlogged executor.
+      Worker* target = executors_.front().get();
+      for (const auto& e : executors_)
+        if (e->queue_depth() < target->queue_depth()) target = e.get();
+      target->submit(std::move(sub.task), sub.enqueue_ms, sub.order_deadline);
+    }
+    submissions.clear();
   }
 }
 

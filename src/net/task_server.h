@@ -89,7 +89,8 @@ class TaskServer {
     ScopedFd fd;
     FrameBuffer in;
     /// Outbound frames, coalesced and flushed with vectored sends. Encode
-    /// with `encode_into(msg, conn.out.chunk())`.
+    /// with `encode_into(msg, conn.out.chunk())`. Executors flush their own
+    /// TaskDone frames; the net loop flushes the rest and any blocked tail.
     SendQueue out;
     bool hello_done = false;
     /// Marked instead of closing inline so the net loop's sweep can
@@ -109,6 +110,14 @@ class TaskServer {
   struct TaskOrigin {
     std::uint64_t conn = 0;
     TimeMs enqueue_ms = 0.0;
+  };
+
+  /// A decoded SubmitTask waiting for the net loop to hand it to an
+  /// executor once mu_ is released.
+  struct Submission {
+    RuntimeTask task;
+    TimeMs enqueue_ms = 0.0;
+    TimeMs order_deadline = 0.0;
   };
 
   void net_loop() TG_EXCLUDES(mu_);
@@ -137,8 +146,9 @@ class TaskServer {
   // Net-thread private after the bind; stop() only resets it after joining
   // that thread. tg-lint: allow(guarded-member)
   ScopedFd listen_fd_;
-  // WakePipe is self-synchronizing: write end poked from any thread, read
-  // end drained by the net thread. tg-lint: allow(guarded-member)
+  // WakePipe is self-synchronizing: rung by an executor only when its send
+  // blocked or failed, drained by the net thread.
+  // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
   std::unique_ptr<Poller> poller_;
@@ -150,6 +160,7 @@ class TaskServer {
   std::unordered_map<int, std::uint64_t> fd_conn_ TG_GUARDED_BY(mu_);
   std::uint64_t next_conn_id_ TG_GUARDED_BY(mu_) = 1;
   std::unordered_map<TaskId, TaskOrigin> task_origin_ TG_GUARDED_BY(mu_);
+  std::vector<Submission> submissions_ TG_GUARDED_BY(mu_);
   std::vector<double> pending_samples_ TG_GUARDED_BY(mu_);
   std::uint64_t tasks_executed_ TG_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_missed_ TG_GUARDED_BY(mu_) = 0;

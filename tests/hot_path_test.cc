@@ -5,6 +5,8 @@
 //    SimResult::event_loop_allocs reports real allocation counts. The loop's
 //    structures are slab-pooled and pre-reserved, so the count must not
 //    scale with the query count (amortized vector doublings only).
+//  * The query tracker stays bounded on a long-running service: its id
+//    table drops the dead prefix instead of growing 4 bytes per query.
 //  * Batched same-timestamp completion draining is pure restructuring: for
 //    randomized seeds and loads the results are bit-identical across the
 //    three event-queue backings (dense / heap / wheel), which pop the same
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "common/alloc_probe.h"
+#include "core/query_tracker.h"
 #include "dist/standard.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -138,6 +141,32 @@ TEST(HotPathAlloc, EventLoopAllocsDoNotScaleWithQueries) {
   EXPECT_LT(rb.event_loop_allocs, 256u) << "event loop allocates per event";
   EXPECT_LT(rb.event_loop_allocs, rs.event_loop_allocs + 128u)
       << "event-loop allocations scale with the query count";
+}
+
+TEST(HotPathAlloc, QueryTrackerDoesNotGrowWithQueriesServed) {
+  // A long-running service: 1M queries, at most 64 in flight. The id table
+  // drops its dead prefix, so once warm the tracker allocates nothing —
+  // without the trim it would keep doubling a 4-byte-per-query table.
+  QueryTracker tracker;
+  std::vector<QueryId> in_flight;
+  in_flight.reserve(64);
+  const auto cycle = [&](std::uint64_t i) {
+    in_flight.push_back(tracker.begin_query(0.0, 0, 1, 1.0));
+    // Complete out of order within the window, as live backends do.
+    if (in_flight.size() == 64 || i % 3 == 0) {
+      const std::size_t pick = (i * 7) % in_flight.size();
+      EXPECT_TRUE(tracker.complete_task(in_flight[pick]));
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  };
+  std::uint64_t i = 0;
+  for (; i < 100000; ++i) cycle(i);  // warm-up: table and slab reach size
+  const std::uint64_t before = alloc_count();
+  for (; i < 1100000; ++i) cycle(i);
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_EQ(allocs, 0u) << "tracker allocations grow with queries served";
+  EXPECT_LE(tracker.in_flight(), 64u);
+  EXPECT_EQ(tracker.started(), 1100000u);
 }
 
 TEST(HotPathAlloc, NoHookMeansZeroReported) {

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -410,7 +412,8 @@ TEST(SendQueue, ClearDropsPendingData) {
 
 // ------------------------------------------------------- raw-socket client
 
-/// Minimal blocking-ish wire client for poking a TaskServer directly.
+/// Minimal blocking-ish wire client for poking a TaskServer directly, or
+/// (via adopt) for playing a daemon to a RemoteDispatcher.
 class TestClient {
  public:
   bool connect_to(std::uint16_t port) {
@@ -420,6 +423,23 @@ class TestClient {
     pollfd p{fd_.get(), POLLOUT, 0};
     ::poll(&p, 1, 2000);
     return net::connect_finished(fd_.get());
+  }
+
+  /// Takes over an accepted connection.
+  void adopt(net::ScopedFd fd) {
+    fd_ = std::move(fd);
+    net::set_nonblocking(fd_.get());
+  }
+
+  /// Caps the receive buffer (and so the peer's window); returns the size
+  /// the kernel actually granted. Keep it well above the loopback MSS
+  /// (64 KB): a smaller window stalls the sender on zero-window probes.
+  std::size_t limit_receive_buffer(int bytes) {
+    ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+    int granted = 0;
+    socklen_t len = sizeof(granted);
+    ::getsockopt(fd_.get(), SOL_SOCKET, SO_RCVBUF, &granted, &len);
+    return static_cast<std::size_t>(granted);
   }
 
   void send_bytes(const std::vector<std::uint8_t>& bytes) {
@@ -620,8 +640,8 @@ TEST(RemoteDispatcher, SubmitsAndCompletesQueries) {
   EXPECT_EQ(dispatcher.completed_queries(), 30u);
   EXPECT_EQ(dispatcher.failed_tasks(), 0u);
   // Online updating: completions fed the per-server models.
-  const auto& model =
-      static_cast<const StreamingCdfModel&>(*dispatcher.server_model(0));
+  const auto snapshot = dispatcher.server_model(0);  // keeps the copy alive
+  const auto& model = static_cast<const StreamingCdfModel&>(*snapshot);
   EXPECT_GT(model.observations(), 0u);
 }
 
@@ -684,6 +704,152 @@ TEST(RemoteDispatcher, TaskTimeoutFailsQueryNotHang) {
   std::vector<net::RemoteTaskSpec> ok(1);
   ok[0].simulated_service_ms = 0.2;
   EXPECT_EQ(dispatcher.submit(0, std::move(ok)).get().tasks_failed, 0u);
+}
+
+// ------------------------------------------- write-through backpressure
+
+/// Most bytes the kernel buffers on the sending side of one loopback TCP
+/// connection (the tcp_wmem ceiling; 4 MB, the Linux default, if unknown).
+/// Pushing more than this plus the receive buffer forces a blocked send.
+std::size_t send_buffer_ceiling() {
+  std::ifstream f("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min = 0, def = 0, max = 0;
+  if (f >> min >> def >> max) return max;
+  return std::size_t{4} << 20;
+}
+
+/// Frames of `frame_bytes` each that overfill a connection whose receiver
+/// holds `receive_buffer` bytes, with a margin.
+std::size_t frames_to_block(std::size_t frame_bytes,
+                            std::size_t receive_buffer) {
+  return (send_buffer_ceiling() + receive_buffer) / frame_bytes + 4096;
+}
+
+TEST(WriteThrough, SubmitsToAStalledDaemonArriveOnceInOrder) {
+  // A raw-socket daemon completes the handshake, then stops reading. The
+  // dispatcher's inline sends block, the net loop takes over the tail, and
+  // once the daemon reads again every SubmitTask arrives exactly once, in
+  // task-id order.
+  std::string error;
+  net::ScopedFd listener = net::listen_tcp(0, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  net::DispatcherOptions options;
+  options.servers = {{"127.0.0.1", net::local_port(listener.get())}};
+  options.classes = {{.slo_ms = 50.0, .percentile = 99.0}};
+  options.task_timeout_ms = 600000.0;  // nothing may time out mid-test
+  net::RemoteDispatcher dispatcher(options);
+
+  pollfd p{listener.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&p, 1, 5000), 1);
+  TestClient daemon;
+  daemon.adopt(net::ScopedFd(::accept(listener.get(), nullptr, nullptr)));
+  const std::size_t receive_buffer = daemon.limit_receive_buffer(256 * 1024);
+  const auto hello = daemon.read_frame();
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, net::MsgType::kHello);
+  daemon.send_bytes(net::encode(net::HelloAckMsg{}));
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+
+  constexpr std::size_t kFanout = 64;
+  const std::size_t frame_bytes = net::encode(net::SubmitTaskMsg{}).size();
+  const std::size_t queries =
+      frames_to_block(frame_bytes, receive_buffer) / kFanout + 1;
+  for (std::size_t q = 0; q < queries; ++q) {
+    std::vector<net::RemoteTaskSpec> tasks(kFanout);
+    for (auto& t : tasks) t.server = 0;
+    dispatcher.submit(0, std::move(tasks));
+  }
+
+  const std::size_t expected = queries * kFanout;
+  TaskId next = 0;
+  while (next < expected) {
+    const auto frame = daemon.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "stalled after " << next << " tasks";
+    net::SubmitTaskMsg msg;
+    ASSERT_TRUE(net::decode(*frame, &msg));
+    ASSERT_EQ(msg.task, next) << "SubmitTask lost, repeated or reordered";
+    ++next;
+  }
+  EXPECT_FALSE(daemon.read_frame(100).has_value());
+}
+
+TEST(WriteThrough, CompletionsForAStalledDispatcherArriveOnce) {
+  // A raw-socket dispatcher stops reading while the daemon runs N tasks.
+  // Executors send their own TaskDone frames; a blocked send must neither
+  // stall them nor lose or repeat a frame once the dispatcher reads again.
+  net::TaskServerOptions options;
+  options.num_classes = 1;
+  net::TaskServer server(options);
+  TestClient dispatcher;
+  ASSERT_TRUE(dispatcher.connect_to(server.port()));
+  const std::size_t receive_buffer = dispatcher.limit_receive_buffer(256 * 1024);
+  dispatcher.send_bytes(net::encode(net::HelloMsg{}));
+  ASSERT_TRUE(dispatcher.read_frame().has_value());  // ack
+
+  const std::size_t n = frames_to_block(
+      net::encode(net::TaskDoneMsg{}).size(), receive_buffer);
+  std::vector<std::uint8_t> submits;
+  for (std::size_t i = 0; i < n; ++i) {
+    net::SubmitTaskMsg msg;
+    msg.task = i;
+    msg.query = i;
+    msg.relative_deadline_ms = 1e6;
+    net::encode_into(msg, submits);
+  }
+  dispatcher.send_bytes(submits);
+  const auto deadline = std::chrono::steady_clock::now() + 120s;
+  while (server.tasks_executed() < n &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  ASSERT_EQ(server.tasks_executed(), n) << "executors stalled on the socket";
+
+  std::set<TaskId> done;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto frame = dispatcher.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "stalled after " << i << " TaskDones";
+    net::TaskDoneMsg msg;
+    ASSERT_TRUE(net::decode(*frame, &msg));
+    ASSERT_LT(msg.task, n);
+    ASSERT_TRUE(done.insert(msg.task).second) << "repeated " << msg.task;
+  }
+  EXPECT_EQ(done.size(), n);
+  EXPECT_FALSE(dispatcher.read_frame(100).has_value());
+}
+
+TEST(WriteThrough, SlowTaskBehindAnsweredOnesStillTimesOut) {
+  // The timeout FIFO pops answered tasks off its front. A slow task queued
+  // behind thousands of them must still fail at its own timeout, and its
+  // late TaskDone must be absorbed.
+  auto fleet = start_fleet(2, Policy::kTfEdf, 1);
+  auto options = dispatcher_options(fleet, Policy::kTfEdf,
+                                    {{.slo_ms = 50.0, .percentile = 99.0}});
+  options.task_timeout_ms = 800.0;
+  net::RemoteDispatcher dispatcher(options);
+  ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
+
+  std::vector<std::future<QueryResult>> fast;
+  for (int q = 0; q < 2000; ++q) {
+    std::vector<net::RemoteTaskSpec> tasks(1);
+    tasks[0].server = 0;
+    fast.push_back(dispatcher.submit(0, std::move(tasks)));
+  }
+  std::vector<net::RemoteTaskSpec> slow(1);
+  slow[0].server = 1;
+  slow[0].simulated_service_ms = 2000.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto slow_future = dispatcher.submit(0, std::move(slow));
+  for (auto& f : fast) EXPECT_EQ(f.get().tasks_failed, 0u);
+  EXPECT_EQ(slow_future.get().tasks_failed, 1u);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(waited, 750ms);
+  EXPECT_LT(waited, 1800ms);  // resolved by the timeout, not the task
+
+  std::this_thread::sleep_for(1500ms);  // the late TaskDone lands
+  std::vector<net::RemoteTaskSpec> ok(1);
+  ok[0].server = 1;
+  EXPECT_EQ(dispatcher.submit(0, std::move(ok)).get().tasks_failed, 0u);
+  EXPECT_EQ(dispatcher.failed_tasks(), 1u);
+  EXPECT_EQ(dispatcher.completed_queries(), 2002u);
 }
 
 TEST(RemoteDispatcher, AdmissionControlShedsLoadBeforeTheWire) {

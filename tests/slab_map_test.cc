@@ -1,7 +1,7 @@
 // Tests for the slab-backed hot-path maps (common/slab_map.h): dense and
 // strided id progressions, freelist recycling, growth behaviour, id-order
-// iteration determinism, and the insert-only hash cache's clear()-keeps-
-// capacity contract.
+// iteration determinism, dead-prefix trimming for growing ids, and the
+// insert-only hash cache's clear()-keeps-capacity contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,22 +116,33 @@ TEST(SlabMap, ClearRestartsProgressionKeepingCapacity) {
 }
 
 TEST(SlabMap, RandomizedAgainstReferenceModel) {
+  // Growing ids with random erasures and dead-prefix trims, checked against
+  // a std::set after every step. Erasures lean towards the oldest ids, so
+  // the prefix dies and is dropped many times over the run.
   Rng rng(1234);
   SlabMap<std::uint64_t> m(1, 3);  // ids 1, 4, 7, ...
   std::set<std::uint64_t> live;
   std::uint64_t next = 0;
-  for (int step = 0; step < 5000; ++step) {
-    if (live.empty() || rng.bernoulli(0.5)) {
+  for (int step = 0; step < 60000; ++step) {
+    const double u = rng.uniform();
+    if (live.empty() || u < 0.5) {
       const std::uint64_t id = 1 + 3 * next++;
       m.emplace(id) = id * 10;
       live.insert(id);
-    } else {
+    } else if (u < 0.9) {
       auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.uniform_index(live.size())));
+      std::advance(it, static_cast<long>(
+                           rng.uniform_index(std::min<std::size_t>(
+                               live.size(), 8))));
       EXPECT_TRUE(m.erase(*it));
       live.erase(it);
+    } else {
+      m.drop_dead_prefix();
     }
-    EXPECT_EQ(m.size(), live.size());
+    ASSERT_EQ(m.size(), live.size());
+    // Probe the oldest live id, an erased id, the next id and a dropped one.
+    const std::uint64_t probe = 1 + 3 * rng.uniform_index(next + 1);
+    ASSERT_EQ(m.contains(probe), live.count(probe) == 1) << probe;
   }
   std::vector<std::uint64_t> seen;
   m.for_each([&](std::uint64_t id, std::uint64_t& v) {
@@ -139,6 +150,48 @@ TEST(SlabMap, RandomizedAgainstReferenceModel) {
     seen.push_back(id);
   });
   EXPECT_EQ(seen, std::vector<std::uint64_t>(live.begin(), live.end()));
+}
+
+TEST(SlabMap, DroppedPrefixReadsAbsentAndClearResetsIt) {
+  SlabMap<int> m;
+  constexpr std::uint64_t kIds = 20000;
+  for (std::uint64_t id = 0; id < kIds; ++id) m.emplace(id) = 1;
+  for (std::uint64_t id = 0; id + 10 < kIds; ++id) m.erase(id);
+  m.drop_dead_prefix();  // 19990 dead leading slots: dropped
+  EXPECT_EQ(m.size(), 10u);
+  // Ids below the dropped prefix read as absent, never as a wrapped index.
+  for (const std::uint64_t id :
+       {std::uint64_t{0}, std::uint64_t{1}, kIds - 11}) {
+    EXPECT_FALSE(m.contains(id)) << id;
+    EXPECT_EQ(m.find(id), nullptr) << id;
+    EXPECT_FALSE(m.erase(id)) << id;
+  }
+  std::vector<std::uint64_t> seen;
+  m.for_each([&](std::uint64_t id, int&) { seen.push_back(id); });
+  ASSERT_EQ(seen.size(), 10u);
+  EXPECT_EQ(seen.front(), kIds - 10);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  m.emplace(kIds) = 2;  // ids keep growing past the dropped prefix
+  EXPECT_EQ(*m.find(kIds), 2);
+
+  m.clear();  // the id history restarts at 0
+  EXPECT_FALSE(m.contains(kIds));
+  m.emplace(0) = 3;
+  EXPECT_EQ(*m.find(0), 3);
+}
+
+TEST(SlabMap, SmallDeadPrefixIsKept) {
+  // Under kMinDroppedPrefix dead slots nothing moves; lookups are unchanged.
+  SlabMap<int> m;
+  for (std::uint64_t id = 0; id < 100; ++id)
+    m.emplace(id) = static_cast<int>(id);
+  for (std::uint64_t id = 0; id < 99; ++id) m.erase(id);
+  m.drop_dead_prefix();
+  EXPECT_FALSE(m.contains(5));
+  ASSERT_NE(m.find(99), nullptr);
+  EXPECT_EQ(*m.find(99), 99);
+  m.emplace(100) = 100;
+  EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(SlabHashCache, InsertFindAndCollisions) {
