@@ -58,7 +58,7 @@ class SlabMap {
   /// gaps in the slot table are backfilled as absent. After
   /// drop_dead_prefix(), ids must lie past the dropped prefix.
   T& emplace(std::uint64_t id) {
-    TG_DCHECK(index_of(id) >= dropped_ + dead_prefix_);
+    TG_DCHECK(index_of(id) >= dropped_);
     const std::uint64_t idx = index_of(id) - dropped_;
     if (idx >= slot_by_idx_.size()) slot_by_idx_.resize(idx + 1, kNoSlot);
     TG_DCHECK(slot_by_idx_[idx] == kNoSlot);
@@ -103,18 +103,15 @@ class SlabMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// For owners whose ids only grow: keeps the id table proportional to the
-  /// span from the oldest live id, not to every id ever inserted. Advances
-  /// past dead leading slots and erases them once they are at least
-  /// kMinDroppedPrefix slots and half the table. Amortized O(1): each slot
-  /// is passed once and moved at most once per erase that drops at least as
-  /// many. Allocates nothing.
+  /// For owners whose ids only grow, called before emplacing each new
+  /// highest id: keeps the id table proportional to the span from the
+  /// oldest live id, not to every id ever inserted. It acts only when the
+  /// table is full, i.e. when that emplace would reallocate it: if at least
+  /// kMinDroppedPrefix leading slots and half the table are dead, they are
+  /// erased in place instead. A table pre-sized by reserve() pays one
+  /// compare. Amortized O(1) per emplace, and allocates nothing.
   void drop_dead_prefix() {
-    while (dead_prefix_ < slot_by_idx_.size() &&
-           slot_by_idx_[dead_prefix_] == kNoSlot)
-      ++dead_prefix_;
-    if (dead_prefix_ >= kMinDroppedPrefix &&
-        2 * dead_prefix_ >= slot_by_idx_.size()) [[unlikely]]
+    if (slot_by_idx_.size() == slot_by_idx_.capacity()) [[unlikely]]
       erase_dead_prefix();
   }
 
@@ -127,20 +124,19 @@ class SlabMap {
     slab_.clear();
     size_ = 0;
     dropped_ = 0;
-    dead_prefix_ = 0;
   }
 
   /// Visits live entries as fn(id, T&) in ascending id order — deterministic
   /// for any insert/erase history over the same live set.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (std::uint64_t idx = dead_prefix_; idx < slot_by_idx_.size(); ++idx)
+    for (std::uint64_t idx = 0; idx < slot_by_idx_.size(); ++idx)
       if (slot_by_idx_[idx] != kNoSlot)
         fn(start_ + (dropped_ + idx) * stride_, slab_[slot_by_idx_[idx]]);
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::uint64_t idx = dead_prefix_; idx < slot_by_idx_.size(); ++idx)
+    for (std::uint64_t idx = 0; idx < slot_by_idx_.size(); ++idx)
       if (slot_by_idx_[idx] != kNoSlot)
         fn(start_ + (dropped_ + idx) * stride_, slab_[slot_by_idx_[idx]]);
   }
@@ -153,14 +149,17 @@ class SlabMap {
     return stride_ == 1 ? id : (id - start_) / stride_;
   }
 
-  // Out of line: runs once per kMinDroppedPrefix or more completions, and
-  // keeps the inlined per-completion check small.
+  // Out of line: runs only on a full table, at most once per half table of
+  // emplaces, and keeps the inlined check a single compare. The scan and the
+  // move are bounded by the table size the next emplace would have copied.
   [[gnu::noinline]] void erase_dead_prefix() {
-    slot_by_idx_.erase(slot_by_idx_.begin(),
-                       slot_by_idx_.begin() +
-                           static_cast<std::ptrdiff_t>(dead_prefix_));
-    dropped_ += dead_prefix_;
-    dead_prefix_ = 0;
+    std::size_t dead = 0;
+    while (dead < slot_by_idx_.size() && slot_by_idx_[dead] == kNoSlot) ++dead;
+    if (dead < kMinDroppedPrefix || 2 * dead < slot_by_idx_.size()) return;
+    slot_by_idx_.erase(
+        slot_by_idx_.begin(),
+        slot_by_idx_.begin() + static_cast<std::ptrdiff_t>(dead));
+    dropped_ += dead;
   }
 
   std::uint32_t slot_of(std::uint64_t id) const {
@@ -177,8 +176,7 @@ class SlabMap {
   std::size_t size_ = 0;
   std::uint64_t start_ = 0;
   std::uint64_t stride_ = 1;
-  std::uint64_t dropped_ = 0;      ///< indices erased off the table's front
-  std::uint64_t dead_prefix_ = 0;  ///< leading table entries known dead
+  std::uint64_t dropped_ = 0;  ///< indices erased off the table's front
 };
 
 template <typename T>

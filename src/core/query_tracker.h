@@ -14,9 +14,10 @@
 // (facade -> control plane -> tracker -> slab) with no cross-TU calls. The
 // strided form exists for the sharded control plane: shard i of N allocates
 // (i, N), so ids are globally unique across shards and id % N recovers the
-// owning shard. Ids only grow, so complete_task drops the id table's dead
-// prefix (SlabMap::drop_dead_prefix): the table spans the oldest in-flight
-// query onwards, and a long-running service does not grow 4 bytes per query.
+// owning shard. Ids only grow, so begin_query drops the id table's dead
+// prefix when the table is full (SlabMap::drop_dead_prefix): it spans the
+// oldest in-flight query onwards, and a long-running service does not grow
+// 4 bytes per query. A simulator run pre-sized by reserve() never fills it.
 // Slots of finished queries are recycled through a freelist, so resident
 // state is proportional to the in-flight count.
 #pragma once
@@ -57,6 +58,7 @@ class QueryTracker {
                       TimeMs deadline) {
     TG_CHECK_MSG(fanout >= 1, "query must spawn at least one task");
     const QueryId id = start_ + started_++ * stride_;
+    states_.drop_dead_prefix();
     states_.emplace(id) = QueryState{.t0 = t0,
                                      .cls = cls,
                                      .fanout = fanout,
@@ -74,7 +76,6 @@ class QueryTracker {
     if (--st->remaining > 0) return false;
     if (finished != nullptr) *finished = *st;
     states_.erase(id);
-    states_.drop_dead_prefix();
     return true;
   }
 

@@ -197,7 +197,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
       const TimeMs timeout_at_ms = t0 + options_.task_timeout_ms;
       TG_DCHECK(timeouts_.empty() ||
                 timeouts_.back().first <= timeout_at_ms);
-      std::vector<ServerId> touched;
+      std::vector<ServerId> to_send;  // queues this submit found empty
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         if (failed_at_submit[i]) {
           finish_task(qid, /*missed=*/false, /*failed=*/true, &resolutions);
@@ -211,19 +211,22 @@ std::future<QueryResult> RemoteDispatcher::submit(
         msg.simulated_service_ms = tasks[i].simulated_service_ms;
         ServerConn& conn = servers_[placement[i]];
         // Frames for the same server coalesce into one chunk here and leave
-        // in a single vectored send below.
+        // in a single vectored send.
+        if (conn.out.empty()) to_send.push_back(placement[i]);
         encode_into(msg, conn.out.chunk());
         ++conn.in_flight;
         in_flight_.emplace(msg.task, InFlightTask{qid, placement[i]});
         timeouts_.emplace_back(timeout_at_ms, msg.task);
-        if (std::find(touched.begin(), touched.end(), placement[i]) ==
-            touched.end())
-          touched.push_back(placement[i]);
       }
-      for (ServerId s : touched) wake |= send_now(servers_[s]);
-      // The loop sleeps until armed_until_ms_ at the latest; a timeout due
-      // before then needs it awake sooner.
-      wake |= !touched.empty() && timeout_at_ms < armed_until_ms_;
+      // A running loop flushes every queue before it waits, so only a
+      // waiting one leaves the send to this thread, and only for a queue it
+      // found empty: one that was not holds a blocked tail, which the loop
+      // sends on EPOLLOUT.
+      if (waiting_until_ms_) {
+        for (ServerId s : to_send) wake |= send_now(servers_[s]);
+        // A timeout due before the wait ends needs the loop awake sooner.
+        wake |= timeout_at_ms < *waiting_until_ms_;
+      }
     }
   }
   if (wake) wake_.wake();
@@ -259,8 +262,10 @@ void RemoteDispatcher::request_stats(ServerId server) {
   TG_CHECK_MSG(server < servers_.size(), "unknown server " << server);
   ServerConn& conn = servers_[server];
   if (conn.state != ConnState::kAlive) return;
+  const bool was_empty = conn.out.empty();
   encode_into(StatsRequestMsg{}, conn.out.chunk());
-  if (send_now(conn)) wake_.wake();
+  // Same rule as submit(): a running loop sends it before it waits.
+  if (waiting_until_ms_ && was_empty && send_now(conn)) wake_.wake();
 }
 
 std::optional<StatsResponseMsg> RemoteDispatcher::last_stats(
@@ -551,6 +556,15 @@ void RemoteDispatcher::net_loop() {
       expire_timeouts(now, &resolutions);
       for (std::size_t s = 0; s < servers_.size(); ++s) {
         ServerConn& conn = servers_[s];
+        // Flush before waiting: frames callers queued while the loop ran,
+        // the loop's own (Hello) and the tail of a blocked write. A send
+        // that failed on a caller's thread is torn down here, where the fd
+        // may be forgotten and closed.
+        if (conn.fd.valid() && conn.state != ConnState::kConnecting &&
+            (conn.send_failed ||
+             (!conn.out.empty() && conn.out.flush(conn.fd.get()) ==
+                                       SendQueue::FlushResult::kError)))
+          disconnect(static_cast<ServerId>(s), now, &resolutions);
         if (conn.state == ConnState::kBackoff) {
           if (now >= conn.next_attempt_ms)
             start_connect(static_cast<ServerId>(s), now);
@@ -571,7 +585,7 @@ void RemoteDispatcher::net_loop() {
       if (!timeouts_.empty())
         poll_timeout_ms =
             std::min(poll_timeout_ms, timeouts_.front().first - now);
-      armed_until_ms_ = now + poll_timeout_ms;
+      waiting_until_ms_ = now + poll_timeout_ms;
     }
     resolve(std::move(resolutions));
     resolutions.clear();
@@ -584,6 +598,7 @@ void RemoteDispatcher::net_loop() {
 
     {
       MutexLock lock(mu_);
+      waiting_until_ms_.reset();
       const TimeMs now = now_ms();
       for (const Poller::Event& ev : events) {
         if (ev.fd == wake_.read_fd()) {
@@ -616,19 +631,6 @@ void RemoteDispatcher::net_loop() {
         bool ok = !ev.closed;
         if (ok && ev.readable) ok = read_server(s, &resolutions);
         if (!ok) disconnect(s, now, &resolutions);
-      }
-
-      // submit() sends from the caller's thread; what is left here is the
-      // loop's own output (Hello) and the tail of a write that blocked,
-      // which EPOLLOUT now lets through. A send that failed on a caller's
-      // thread is torn down here, where the fd may be forgotten and closed.
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        ServerConn& conn = servers_[s];
-        if (!conn.fd.valid() || conn.state == ConnState::kConnecting) continue;
-        if (conn.send_failed ||
-            (!conn.out.empty() &&
-             conn.out.flush(conn.fd.get()) == SendQueue::FlushResult::kError))
-          disconnect(static_cast<ServerId>(s), now, &resolutions);
       }
     }
     resolve(std::move(resolutions));

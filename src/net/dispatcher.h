@@ -161,11 +161,12 @@ class RemoteDispatcher {
     FrameBuffer in;
     /// Outbound frames, coalesced and flushed with vectored sends. Encode
     /// with `encode_into(msg, conn.out.chunk())` — a fan-out burst of
-    /// SubmitTask frames becomes one buffer and one syscall, sent by
-    /// send_now() on the thread that queued it.
+    /// SubmitTask frames becomes one buffer and one syscall, sent by the
+    /// net loop before it waits or, while it waits, by send_now() on the
+    /// thread that queued it.
     SendQueue out;
-    /// A write-through send failed on a caller's thread; the net loop
-    /// disconnects (only it may forget and close the fd).
+    /// A send failed on a caller's thread; the net loop disconnects (only
+    /// it may forget and close the fd).
     bool send_failed = false;
     TimeMs next_attempt_ms = 0.0;
     TimeMs backoff_ms = 0.0;
@@ -211,9 +212,9 @@ class RemoteDispatcher {
                    std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
   void expire_timeouts(TimeMs now, std::vector<Resolution>* resolutions)
       TG_REQUIRES(mu_);
-  /// Write-through: flushes `conn` on the calling thread. Returns whether
-  /// the net loop must be woken — to arm EPOLLOUT after a partial write, or
-  /// to disconnect after a send error.
+  /// Flushes `conn` on a caller's thread while the net loop waits. Returns
+  /// whether the loop must be woken — to arm EPOLLOUT after a partial
+  /// write, or to disconnect after a send error.
   bool send_now(ServerConn& conn) TG_REQUIRES(mu_);
   std::size_t alive_servers_locked() const TG_REQUIRES(mu_);
   static void resolve(std::vector<Resolution> resolutions);
@@ -222,8 +223,9 @@ class RemoteDispatcher {
   DispatcherOptions options_;
   // tg-lint: allow(guarded-member): immutable after construction.
   std::chrono::steady_clock::time_point epoch_;
-  // WakePipe is self-synchronizing: rung by a caller only when the loop must
-  // act (see send_now() and armed_until_ms_), drained by the net thread.
+  // WakePipe is self-synchronizing: rung by a caller only when the waiting
+  // loop must act (see send_now() and waiting_until_ms_), drained by the net
+  // thread.
   // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
@@ -244,9 +246,12 @@ class RemoteDispatcher {
   /// deadline is t0 plus the same timeout. Answered tasks are popped off
   /// the front lazily by expire_timeouts().
   std::deque<std::pair<TimeMs, TaskId>> timeouts_ TG_GUARDED_BY(mu_);
-  /// When the net loop's current wait ends at the latest; set before each
-  /// wait. A submit whose timeout falls earlier wakes the loop.
-  TimeMs armed_until_ms_ TG_GUARDED_BY(mu_) = 0.0;
+  /// Set while the net loop waits — from its pre-wait flush to the end of
+  /// the wait — to when that wait ends at the latest. Callers then send
+  /// their own frames, and a submit whose timeout falls earlier wakes the
+  /// loop. Empty while the loop runs: it flushes every queue before it
+  /// waits again, so callers only queue.
+  std::optional<TimeMs> waiting_until_ms_ TG_GUARDED_BY(mu_);
   TaskId next_task_id_ TG_GUARDED_BY(mu_) = 0;
   /// Queries that degraded to an immediate all-tasks-failed result without
   /// ever registering with the control plane (no server reachable).

@@ -179,7 +179,7 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
   }
 }
 
-void TaskServer::on_task_complete(ServerId /*executor*/,
+void TaskServer::on_task_complete(ServerId executor,
                                   const RuntimeTask& task, TimeMs dequeue_ms,
                                   TimeMs complete_ms) {
   const bool missed = dequeue_ms > task.order_deadline;
@@ -189,7 +189,6 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
   msg.service_ms = complete_ms - dequeue_ms;
   msg.missed_deadline = missed;
 
-  bool wake = false;
   MutexLock lock(mu_);
   ++tasks_executed_;
   if (missed) ++tasks_missed_;
@@ -203,23 +202,18 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
   const auto conn_it = conns_.find(origin.conn);
   if (!stopped_ && conn_it != conns_.end() && conn_it->second.hello_done &&
       !conn_it->second.dead && conn_it->second.fd.valid()) {
-    // Write-through: the executor sends its own TaskDone, behind anything
-    // already queued on the connection. The net loop is woken only when it
-    // must act: arm EPOLLOUT after a partial write, or close the connection
-    // after a send error (only the net thread may forget and close an fd).
+    // A running net loop flushes every queue before it waits, so executors
+    // only act while it waits, and only on a queue they found empty (one
+    // that was not holds a blocked tail, which the loop sends on EPOLLOUT).
+    // An executor with nothing else queued sends now; one with a backlog
+    // leaves the frame for the loop's next flush, batched with the
+    // completions that follow it.
     Connection& conn = conn_it->second;
+    const bool was_empty = conn.out.empty();
     encode_into(msg, conn.out.chunk());
-    switch (conn.out.flush(conn.fd.get())) {
-      case SendQueue::FlushResult::kDrained:
-        break;
-      case SendQueue::FlushResult::kBlocked:
-        wake = true;
-        break;
-      case SendQueue::FlushResult::kError:
-        conn.dead = true;
-        wake = true;
-        break;
-    }
+    if (waiting_ && was_empty &&
+        (executors_[executor]->queue_depth() > 0 || send_now(conn)))
+      wake_.wake();
   } else if (pending_samples_.size() < options_.max_buffered_samples) {
     // No dispatcher to tell: keep the observation for the next ModelSync.
     pending_samples_.push_back(msg.service_ms);
@@ -238,7 +232,20 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
       if (missed) ++other.gossip_dequeues_missed;
     }
   }
-  if (wake) wake_.wake();
+}
+
+bool TaskServer::send_now(Connection& conn) {
+  switch (conn.out.flush(conn.fd.get())) {
+    case SendQueue::FlushResult::kDrained:
+      return false;
+    case SendQueue::FlushResult::kBlocked:
+      return true;  // the loop arms EPOLLOUT and finishes the send
+    case SendQueue::FlushResult::kError:
+      // Only the net thread may forget and close the fd.
+      conn.dead = true;
+      return true;
+  }
+  return true;
 }
 
 void TaskServer::maybe_gossip(TimeMs now) {
@@ -272,11 +279,10 @@ void TaskServer::maybe_gossip(TimeMs now) {
 }
 
 void TaskServer::flush_and_sweep_connections() {
-  // Runs once per loop round, after the readiness events: flush what the
-  // loop itself queued (handshake replies, stats, gossip) and the tail of a
-  // completion write that blocked, then close dead connections and refresh
-  // poller interest for the rest. Executors send their own TaskDone frames
-  // and wake the loop only when a write blocked or failed.
+  // Runs once per loop round, just before the wait: flush what was queued
+  // while the loop ran (TaskDone frames from executors, handshake replies,
+  // stats, gossip) and the tail of a write that blocked, then close dead
+  // connections and refresh poller interest for the rest.
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = it->second;
     if (!conn.dead && conn.fd.valid() && !conn.out.empty() &&
@@ -303,12 +309,16 @@ void TaskServer::net_loop() {
   std::vector<Submission> submissions;
   while (running_.load(std::memory_order_relaxed)) {
     int timeout_ms = 200;
-    if (options_.gossip_interval_ms > 0) {
-      // Wake in time for the next gossip boundary instead of sleeping
-      // through it (while keeping the 200 ms liveness ceiling).
+    {
       MutexLock lock(mu_);
-      const double until = next_gossip_ms_ - now_ms();
-      timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
+      flush_and_sweep_connections();
+      if (options_.gossip_interval_ms > 0) {
+        // Wake in time for the next gossip boundary instead of sleeping
+        // through it (while keeping the 200 ms liveness ceiling).
+        const double until = next_gossip_ms_ - now_ms();
+        timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
+      }
+      waiting_ = true;
     }
     events.clear();
     poller_->wait(events, timeout_ms);
@@ -316,6 +326,7 @@ void TaskServer::net_loop() {
 
     {
       MutexLock lock(mu_);
+      waiting_ = false;
       bool accept_ready = false;
       for (const Poller::Event& ev : events) {
         if (ev.fd == wake_.read_fd()) {
@@ -338,11 +349,10 @@ void TaskServer::net_loop() {
       }
       // Accept after the connection events and before the sweep:
       // descriptors are only ever closed inside the sweep, so an accepted fd
-      // can never alias a stale event in this batch, and the sweep registers
-      // the new connections' read interest with the poller.
+      // can never alias a stale event in this batch, and the sweep (before
+      // the next wait) registers the new connections' read interest.
       if (accept_ready) accept_new_connections();
       maybe_gossip(now_ms());
-      flush_and_sweep_connections();
       submissions.swap(submissions_);
     }
     // Executors get this round's tasks only with mu_ released: a burst that

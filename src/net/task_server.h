@@ -89,8 +89,9 @@ class TaskServer {
     ScopedFd fd;
     FrameBuffer in;
     /// Outbound frames, coalesced and flushed with vectored sends. Encode
-    /// with `encode_into(msg, conn.out.chunk())`. Executors flush their own
-    /// TaskDone frames; the net loop flushes the rest and any blocked tail.
+    /// with `encode_into(msg, conn.out.chunk())`. The net loop flushes it
+    /// before each wait; while it waits, an executor with no backlog sends
+    /// its own TaskDone frame (send_now()).
     SendQueue out;
     bool hello_done = false;
     /// Marked instead of closing inline so the net loop's sweep can
@@ -130,6 +131,10 @@ class TaskServer {
   /// Flushes pending output on every live connection, closes dead ones
   /// (deregistering from the poller first) and refreshes poller interest.
   void flush_and_sweep_connections() TG_REQUIRES(mu_);
+  /// Flushes `conn` on an executor's thread while the net loop waits.
+  /// Returns whether the loop must be woken — to arm EPOLLOUT after a
+  /// partial write, or to close the connection after a send error.
+  bool send_now(Connection& conn) TG_REQUIRES(mu_);
   /// Emits one GossipDelta per live connection when the gossip boundary has
   /// passed, then re-arms. No-op while gossip is disabled.
   void maybe_gossip(TimeMs now) TG_REQUIRES(mu_);
@@ -146,8 +151,9 @@ class TaskServer {
   // Net-thread private after the bind; stop() only resets it after joining
   // that thread. tg-lint: allow(guarded-member)
   ScopedFd listen_fd_;
-  // WakePipe is self-synchronizing: rung by an executor only when its send
-  // blocked or failed, drained by the net thread.
+  // WakePipe is self-synchronizing: rung by an executor during a wait when
+  // its send blocked or failed, or when it leaves a TaskDone for the loop
+  // because it has more tasks queued; drained by the net thread.
   // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
@@ -171,6 +177,11 @@ class TaskServer {
   TimeMs next_gossip_ms_ TG_GUARDED_BY(mu_) = 0.0;
   std::uint64_t gossip_deltas_sent_ TG_GUARDED_BY(mu_) = 0;
   bool stopped_ TG_GUARDED_BY(mu_) = false;
+  /// True while the net loop waits, from its pre-wait flush to the end of
+  /// the wait: an executor with no backlog then sends its own TaskDone
+  /// frame. While the loop runs executors only queue, and it flushes before
+  /// it waits again.
+  bool waiting_ TG_GUARDED_BY(mu_) = false;
 
   std::thread net_thread_;
   // Executors last: their threads must drain and stop before the state above

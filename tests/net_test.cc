@@ -706,7 +706,7 @@ TEST(RemoteDispatcher, TaskTimeoutFailsQueryNotHang) {
   EXPECT_EQ(dispatcher.submit(0, std::move(ok)).get().tasks_failed, 0u);
 }
 
-// ------------------------------------------- write-through backpressure
+// ----------------------------------------------- send-path backpressure
 
 /// Most bytes the kernel buffers on the sending side of one loopback TCP
 /// connection (the tcp_wmem ceiling; 4 MB, the Linux default, if unknown).
@@ -727,9 +727,10 @@ std::size_t frames_to_block(std::size_t frame_bytes,
 
 TEST(WriteThrough, SubmitsToAStalledDaemonArriveOnceInOrder) {
   // A raw-socket daemon completes the handshake, then stops reading. The
-  // dispatcher's inline sends block, the net loop takes over the tail, and
-  // once the daemon reads again every SubmitTask arrives exactly once, in
-  // task-id order.
+  // dispatcher's sends block, whether the caller made them while the net
+  // loop waited or the loop made them before waiting; the loop takes over
+  // the tail, and once the daemon reads again every SubmitTask arrives
+  // exactly once, in task-id order.
   std::string error;
   net::ScopedFd listener = net::listen_tcp(0, &error);
   ASSERT_TRUE(listener.valid()) << error;
@@ -775,8 +776,9 @@ TEST(WriteThrough, SubmitsToAStalledDaemonArriveOnceInOrder) {
 
 TEST(WriteThrough, CompletionsForAStalledDispatcherArriveOnce) {
   // A raw-socket dispatcher stops reading while the daemon runs N tasks.
-  // Executors send their own TaskDone frames; a blocked send must neither
-  // stall them nor lose or repeat a frame once the dispatcher reads again.
+  // An idle executor sends its own TaskDone frame, one with a backlog leaves
+  // it to the net loop; a blocked send must neither stall the executors nor
+  // lose or repeat a frame once the dispatcher reads again.
   net::TaskServerOptions options;
   options.num_classes = 1;
   net::TaskServer server(options);

@@ -116,48 +116,60 @@ TEST(SlabMap, ClearRestartsProgressionKeepingCapacity) {
 }
 
 TEST(SlabMap, RandomizedAgainstReferenceModel) {
-  // Growing ids with random erasures and dead-prefix trims, checked against
-  // a std::set after every step. Erasures lean towards the oldest ids, so
-  // the prefix dies and is dropped many times over the run.
+  // Growing ids checked against a std::set after every step. Erasures are
+  // uniform over the whole live set (freelist reuse in random order, id-order
+  // iteration over a scattered table) or pick among the eight oldest ids, so
+  // the prefix dies too. Every insert first offers the table a trim, as
+  // QueryTracker does; over the run the dead prefix is dropped a few times
+  // while thousands of ids stay live.
   Rng rng(1234);
   SlabMap<std::uint64_t> m(1, 3);  // ids 1, 4, 7, ...
   std::set<std::uint64_t> live;
   std::uint64_t next = 0;
+  const auto check_iteration = [&] {
+    std::vector<std::uint64_t> seen;
+    m.for_each([&](std::uint64_t id, std::uint64_t& v) {
+      EXPECT_EQ(v, id * 10);
+      seen.push_back(id);
+    });
+    ASSERT_EQ(seen, std::vector<std::uint64_t>(live.begin(), live.end()));
+  };
   for (int step = 0; step < 60000; ++step) {
     const double u = rng.uniform();
     if (live.empty() || u < 0.5) {
       const std::uint64_t id = 1 + 3 * next++;
+      m.drop_dead_prefix();
       m.emplace(id) = id * 10;
       live.insert(id);
     } else if (u < 0.9) {
+      const std::size_t among =
+          u < 0.7 ? live.size() : std::min<std::size_t>(live.size(), 8);
       auto it = live.begin();
-      std::advance(it, static_cast<long>(
-                           rng.uniform_index(std::min<std::size_t>(
-                               live.size(), 8))));
+      std::advance(it, static_cast<long>(rng.uniform_index(among)));
       EXPECT_TRUE(m.erase(*it));
       live.erase(it);
     } else {
-      m.drop_dead_prefix();
+      m.drop_dead_prefix();  // not before an insert: a no-op or a trim
     }
     ASSERT_EQ(m.size(), live.size());
-    // Probe the oldest live id, an erased id, the next id and a dropped one.
-    const std::uint64_t probe = 1 + 3 * rng.uniform_index(next + 1);
-    ASSERT_EQ(m.contains(probe), live.count(probe) == 1) << probe;
+    // Probe a random id ever issued (live, erased or dropped), the oldest
+    // live one and the next one, not yet issued.
+    for (const std::uint64_t probe :
+         {1 + 3 * rng.uniform_index(next),
+          live.empty() ? std::uint64_t{1} : *live.begin(), 1 + 3 * next})
+      ASSERT_EQ(m.contains(probe), live.count(probe) == 1) << probe;
+    if (step % 1000 == 999) check_iteration();
   }
-  std::vector<std::uint64_t> seen;
-  m.for_each([&](std::uint64_t id, std::uint64_t& v) {
-    EXPECT_EQ(v, id * 10);
-    seen.push_back(id);
-  });
-  EXPECT_EQ(seen, std::vector<std::uint64_t>(live.begin(), live.end()));
+  check_iteration();
 }
 
 TEST(SlabMap, DroppedPrefixReadsAbsentAndClearResetsIt) {
   SlabMap<int> m;
   constexpr std::uint64_t kIds = 20000;
+  m.reserve(kIds, kIds);
   for (std::uint64_t id = 0; id < kIds; ++id) m.emplace(id) = 1;
   for (std::uint64_t id = 0; id + 10 < kIds; ++id) m.erase(id);
-  m.drop_dead_prefix();  // 19990 dead leading slots: dropped
+  m.drop_dead_prefix();  // full table, 19990 dead leading slots: dropped
   EXPECT_EQ(m.size(), 10u);
   // Ids below the dropped prefix read as absent, never as a wrapped index.
   for (const std::uint64_t id :
@@ -181,8 +193,10 @@ TEST(SlabMap, DroppedPrefixReadsAbsentAndClearResetsIt) {
 }
 
 TEST(SlabMap, SmallDeadPrefixIsKept) {
-  // Under kMinDroppedPrefix dead slots nothing moves; lookups are unchanged.
+  // Under kMinDroppedPrefix dead slots nothing moves, even on a full table;
+  // lookups are unchanged.
   SlabMap<int> m;
+  m.reserve(100, 100);
   for (std::uint64_t id = 0; id < 100; ++id)
     m.emplace(id) = static_cast<int>(id);
   for (std::uint64_t id = 0; id < 99; ++id) m.erase(id);
