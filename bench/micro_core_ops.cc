@@ -77,10 +77,18 @@ double draw_deadline(Rng& rng, DeadlinePattern pattern) {
   return 0.0;
 }
 
-void BM_EdfQueueSweep(benchmark::State& state, EdfQueueImpl impl,
+// Both classes are driven through the TaskQueue interface, as the runtime
+// calls its queue.
+template <typename EdfQueue>
+std::unique_ptr<TaskQueue> make_edf() {
+  return std::make_unique<EdfQueue>(Policy::kTfEdf);
+}
+
+void BM_EdfQueueSweep(benchmark::State& state,
+                      std::unique_ptr<TaskQueue> (*make_queue)(),
                       DeadlinePattern pattern) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto queue = make_task_queue(Policy::kTfEdf, 1, impl);
+  const auto queue = make_queue();
   Rng rng(42);
   std::vector<QueuedTask> seed(depth);
   for (std::size_t i = 0; i < depth; ++i) {
@@ -97,23 +105,18 @@ void BM_EdfQueueSweep(benchmark::State& state, EdfQueueImpl impl,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-#define TG_EDF_SWEEP(name, impl, pattern)                        \
-  BENCHMARK_CAPTURE(BM_EdfQueueSweep, name, impl, pattern)       \
-      ->RangeMultiplier(10)                                      \
+#define TG_EDF_SWEEP(name, queue, pattern)                            \
+  BENCHMARK_CAPTURE(BM_EdfQueueSweep, name, make_edf<queue>, pattern) \
+      ->RangeMultiplier(10)                                           \
       ->Range(100, 1000000)
 
-TG_EDF_SWEEP(wheel_uniform, EdfQueueImpl::kTimerWheel,
-             DeadlinePattern::kUniform);
-TG_EDF_SWEEP(heap_uniform, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kUniform);
-TG_EDF_SWEEP(wheel_clustered, EdfQueueImpl::kTimerWheel,
-             DeadlinePattern::kClustered);
-TG_EDF_SWEEP(heap_clustered, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kClustered);
-TG_EDF_SWEEP(wheel_same_bucket, EdfQueueImpl::kTimerWheel,
+TG_EDF_SWEEP(wheel_uniform, TimerWheelEdfQueue, DeadlinePattern::kUniform);
+TG_EDF_SWEEP(heap_uniform, EdfTaskQueue, DeadlinePattern::kUniform);
+TG_EDF_SWEEP(wheel_clustered, TimerWheelEdfQueue, DeadlinePattern::kClustered);
+TG_EDF_SWEEP(heap_clustered, EdfTaskQueue, DeadlinePattern::kClustered);
+TG_EDF_SWEEP(wheel_same_bucket, TimerWheelEdfQueue,
              DeadlinePattern::kSameBucket);
-TG_EDF_SWEEP(heap_same_bucket, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kSameBucket);
+TG_EDF_SWEEP(heap_same_bucket, EdfTaskQueue, DeadlinePattern::kSameBucket);
 
 #undef TG_EDF_SWEEP
 

@@ -1,9 +1,11 @@
 // Extension: placement policies head-to-head — p99 vs offered load.
 //
 // The paper's simulations place each query's tasks on distinct servers
-// chosen uniformly (least_loaded over an unweighted candidate view). This
-// bench pits that default against the two informed policies
-// (core/placement/policy.h) on the scenarios where placement should matter:
+// chosen uniformly. The `uniform` row is that default: the simulator runs
+// the least_loaded kind as load-blind uniform distinct sampling (every
+// server is an equal candidate). This bench pits it against the two
+// informed policies (core/placement/policy.h) on the scenarios where
+// placement should matter:
 //
 //   * heterogeneous speeds — a Masstree cluster where half the servers run
 //     1.6x slower (cluster_with_stragglers), so a load-blind placement
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
   std::vector<PolicyUnderTest> policies;
   {
     PolicyUnderTest p;
-    p.name = "least_loaded";
+    p.name = "uniform";
     p.options.kind = PlacementPolicyKind::kLeastLoaded;
     policies.push_back(p);
     p.name = "pow_d";
@@ -152,13 +154,13 @@ int main(int argc, char** argv) {
   }
 
   bench::note(
-      "measured shape (see EXPERIMENTS.md): uniform/least_loaded placement "
-      "is load-blind in the simulator, so both informed policies beat it on "
-      "p99 everywhere it is loaded — by 3-4x at load 0.7 on the straggler "
-      "and Pareto clusters; pow_d's d-sample queue-depth ranking is the "
-      "strongest overall (depth is a very direct risk signal here), while "
-      "tail_risk sits between the two: its slack-histogram ranking "
-      "consistently clears least_loaded but pays for scanning all n "
-      "candidates and for histogram staleness");
+      "measured shape (see EXPERIMENTS.md): uniform placement is "
+      "load-blind, so both informed policies beat it on p99 everywhere it "
+      "is loaded — by 3-4x at load 0.7 on the straggler and Pareto "
+      "clusters; pow_d's d-sample queue-depth ranking is the strongest "
+      "overall (depth is a very direct risk signal here), while tail_risk "
+      "sits between the two: its slack-histogram ranking consistently "
+      "clears uniform but pays for scanning all n candidates and for "
+      "histogram staleness");
   return 0;
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -166,20 +164,8 @@ const QueuedTask& TimerWheelEdfQueue::peek() const {
 
 // ----------------------------------------------------------------- factory
 
-EdfQueueImpl resolve_edf_queue_impl(EdfQueueImpl impl) {
-  if (impl != EdfQueueImpl::kDefault) return impl;
-  if (const char* env = std::getenv("TAILGUARD_EDF_IMPL")) {
-    if (std::strcmp(env, "heap") == 0) return EdfQueueImpl::kBinaryHeap;
-    TG_CHECK_MSG(std::strcmp(env, "wheel") == 0,
-                 "TAILGUARD_EDF_IMPL must be 'heap' or 'wheel', got '"
-                     << env << "'");
-  }
-  return EdfQueueImpl::kTimerWheel;
-}
-
 std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
-                                           std::size_t num_classes,
-                                           EdfQueueImpl edf_impl) {
+                                           std::size_t num_classes) {
   switch (policy) {
     case Policy::kFifo:
       return std::make_unique<FifoTaskQueue>();
@@ -187,8 +173,6 @@ std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
       return std::make_unique<ClassPriorityTaskQueue>(num_classes);
     case Policy::kTEdf:
     case Policy::kTfEdf:
-      if (resolve_edf_queue_impl(edf_impl) == EdfQueueImpl::kBinaryHeap)
-        return std::make_unique<EdfTaskQueue>(policy);
       return std::make_unique<TimerWheelEdfQueue>(policy);
   }
   TG_CHECK_MSG(false, "unknown policy");

@@ -3,8 +3,8 @@
 // All four evaluated policies — FIFO, PRIQ, T-EDFQ and TF-EDFQ (TailGuard) —
 // are expressed as implementations of one TaskQueue interface; the simulator
 // and the threaded runtime are policy-agnostic. The two EDF variants share
-// EdfTaskQueue and differ only in how the caller computes `deadline` (see
-// DeadlineEstimator::deadline vs ::slo_deadline).
+// TimerWheelEdfQueue and differ only in how the caller computes `deadline`
+// (see DeadlineEstimator::deadline vs ::slo_deadline).
 #pragma once
 
 #include <deque>
@@ -90,8 +90,10 @@ class ClassPriorityTaskQueue final : public TaskQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Earliest-deadline-first with FIFO tie-breaking; used by both T-EDFQ and
-/// TF-EDFQ depending on how the caller derives `deadline`.
+/// Earliest-deadline-first with FIFO tie-breaking on a binary heap: the
+/// reference TimerWheelEdfQueue's pop order is tested against
+/// (tests/policy_test.cc) and benchmarked against (bench/micro_core_ops).
+/// make_task_queue never builds it.
 ///
 /// Backed by a raw vector driven with std::push_heap/std::pop_heap rather
 /// than std::priority_queue: priority_queue::top() returns a const
@@ -120,10 +122,10 @@ class EdfTaskQueue final : public TaskQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Earliest-deadline-first on a hierarchical timer wheel (calendar queue):
-/// O(1) amortized push/pop instead of the binary heap's O(log n), with pop
-/// order *bit-identical* to EdfTaskQueue — same (deadline, seq) total order,
-/// so swapping implementations cannot change any schedule (see
+/// Earliest-deadline-first with FIFO tie-breaking on a hierarchical timer
+/// wheel (calendar queue), the queue of both T-EDFQ and TF-EDFQ: O(1)
+/// amortized push/pop instead of the binary heap's O(log n), with pop order
+/// *bit-identical* to EdfTaskQueue — same (deadline, seq) total order (see
 /// common/timer_wheel.h for how exactness survives bucketing).
 class TimerWheelEdfQueue final : public TaskQueue {
  public:
@@ -177,24 +179,9 @@ class TimerWheelEdfQueue final : public TaskQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Which concrete structure backs the EDF policies: the binary heap
-/// (EdfTaskQueue) or the timer wheel (TimerWheelEdfQueue). The two are
-/// pop-order-identical; the knob exists so benches can A/B them and so a
-/// regression can be bisected from the command line via TAILGUARD_EDF_IMPL.
-enum class EdfQueueImpl {
-  kDefault,     ///< TAILGUARD_EDF_IMPL env override, else the timer wheel
-  kBinaryHeap,  ///< EdfTaskQueue
-  kTimerWheel,  ///< TimerWheelEdfQueue
-};
-
-/// Resolves kDefault against the TAILGUARD_EDF_IMPL environment variable
-/// ("heap" or "wheel"); explicit values pass through unchanged.
-EdfQueueImpl resolve_edf_queue_impl(EdfQueueImpl impl);
-
-/// Builds the queue discipline for `policy`. `num_classes` is only consulted
-/// by PRIQ; `edf_impl` only by the EDF policies.
-std::unique_ptr<TaskQueue> make_task_queue(
-    Policy policy, std::size_t num_classes = 1,
-    EdfQueueImpl edf_impl = EdfQueueImpl::kDefault);
+/// Builds the queue discipline for `policy` (TimerWheelEdfQueue for both
+/// EDF policies). `num_classes` is only consulted by PRIQ.
+std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
+                                           std::size_t num_classes = 1);
 
 }  // namespace tailguard

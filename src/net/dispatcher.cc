@@ -44,7 +44,6 @@ RemoteDispatcher::RemoteDispatcher(DispatcherOptions options)
   TG_CHECK_MSG(!options_.servers.empty(), "need at least one task server");
   TG_CHECK_MSG(!options_.classes.empty(), "need at least one service class");
   TG_CHECK_MSG(options_.task_timeout_ms > 0.0, "task timeout must be positive");
-  poller_ = Poller::create();
   servers_.resize(options_.servers.size());
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     servers_[i].spec = options_.servers[i];
@@ -418,7 +417,7 @@ void RemoteDispatcher::start_connect(ServerId server, TimeMs now) {
 void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
                                   std::vector<Resolution>* resolutions) {
   ServerConn& conn = servers_[server];
-  if (conn.fd.valid()) poller_->forget(conn.fd.get());
+  if (conn.fd.valid()) poller_.forget(conn.fd.get());
   conn.fd.reset();
   conn.state = ConnState::kBackoff;
   conn.in = FrameBuffer{};
@@ -545,7 +544,7 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
 }
 
 void RemoteDispatcher::net_loop() {
-  poller_->watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
+  poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
   std::vector<Poller::Event> events;
   while (running_.load(std::memory_order_relaxed)) {
     std::vector<Resolution> resolutions;
@@ -576,11 +575,11 @@ void RemoteDispatcher::net_loop() {
         // Interest edges only: steady-state rounds re-assert the same
         // interest and cost no syscall (see Poller::watch).
         if (conn.state == ConnState::kConnecting)
-          poller_->watch(conn.fd.get(), /*want_read=*/false,
-                         /*want_write=*/true);
+          poller_.watch(conn.fd.get(), /*want_read=*/false,
+                        /*want_write=*/true);
         else
-          poller_->watch(conn.fd.get(), /*want_read=*/true,
-                         /*want_write=*/!conn.out.empty());
+          poller_.watch(conn.fd.get(), /*want_read=*/true,
+                        /*want_write=*/!conn.out.empty());
       }
       if (!timeouts_.empty())
         poll_timeout_ms =
@@ -593,7 +592,7 @@ void RemoteDispatcher::net_loop() {
     const int timeout_ms =
         std::max(1, static_cast<int>(poll_timeout_ms) + 1);
     events.clear();
-    poller_->wait(events, timeout_ms);
+    poller_.wait(events, timeout_ms);
     if (!running_.load(std::memory_order_relaxed)) break;
 
     {

@@ -229,7 +229,7 @@ class RemoteDispatcher {
   // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::atomic<bool> running_{true};
 
   mutable Mutex mu_;

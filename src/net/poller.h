@@ -1,24 +1,23 @@
-// I/O readiness multiplexing behind the net loops: epoll(7) by default with
-// a portable poll(2) fallback.
+// I/O readiness multiplexing behind the net loops: epoll(7).
 //
 // Both net loops (task_server.cc, dispatcher.cc) used to rebuild a pollfd
 // array and re-enter the kernel with the full descriptor set every
 // iteration — O(connections) of setup per wakeup even when nothing changed.
 // The Poller keeps the interest set cached: `watch()` is idempotent and only
 // edges (new fd, changed read/write interest) reach the kernel via
-// epoll_ctl, so a steady-state wakeup costs one epoll_wait. The poll(2)
-// backend keeps the old behaviour (array rebuilt per wait) behind the same
-// interface for kernels/sandboxes without epoll and for differential
-// testing; select it with TAILGUARD_NET_BACKEND=poll.
+// epoll_ctl, so a steady-state wakeup costs one epoll_wait. A failed
+// epoll_ctl throws CheckFailure: a descriptor the kernel does not watch
+// would never report readiness, and its tasks would only end by timeout.
 //
-// Both backends are level-triggered, so a loop that services only part of
-// the ready data is re-notified — no edge-trigger starvation hazards.
+// Level-triggered, so a loop that services only part of the ready data is
+// re-notified — no edge-trigger starvation hazards.
 // Single-threaded by design: a Poller belongs to exactly one net loop.
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
+
+#include "net/socket.h"
 
 namespace tailguard::net {
 
@@ -28,14 +27,14 @@ class Poller {
     int fd = -1;
     bool readable = false;
     bool writable = false;
-    /// POLLERR/POLLHUP-class condition: the peer is gone or the descriptor
-    /// is broken; the owner should tear the connection down.
+    /// EPOLLERR/EPOLLHUP: the peer is gone or the descriptor is broken;
+    /// the owner should tear the connection down.
     bool closed = false;
   };
 
-  enum class Backend { kEpoll, kPoll };
-
-  virtual ~Poller() = default;
+  /// Creates the epoll instance. Throws CheckFailure when epoll_create1
+  /// fails.
+  Poller();
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
@@ -51,29 +50,17 @@ class Poller {
   /// Waits up to `timeout_ms` for readiness and appends one Event per ready
   /// descriptor to `out` (not cleared). Returns the number of ready
   /// descriptors, 0 on timeout, and treats EINTR as a timeout.
-  virtual int wait(std::vector<Event>& out, int timeout_ms) = 0;
+  int wait(std::vector<Event>& out, int timeout_ms);
 
-  virtual Backend backend() const = 0;
-
-  /// Builds the backend named by TAILGUARD_NET_BACKEND ("epoll" or "poll");
-  /// default is epoll, degrading to poll if epoll_create1 is unavailable.
-  static std::unique_ptr<Poller> create();
-  static std::unique_ptr<Poller> create(Backend backend);
-
- protected:
+ private:
   struct Interest {
     bool read = false;
     bool write = false;
   };
 
-  Poller() = default;
+  static constexpr int kMaxBatch = 64;
 
-  /// Pushes a changed interest into the kernel (`existed` distinguishes
-  /// epoll ADD from MOD). The poll backend keeps this a no-op and derives
-  /// its array from `interest_` at wait time.
-  virtual void apply(int fd, Interest interest, bool existed) = 0;
-  virtual void retract(int fd) = 0;
-
+  ScopedFd epfd_;
   std::unordered_map<int, Interest> interest_;
 };
 

@@ -18,7 +18,6 @@ TaskServer::TaskServer(TaskServerOptions options)
   listen_fd_ = listen_tcp(options_.port, &error);
   TG_CHECK_MSG(listen_fd_.valid(), "task server cannot listen: " << error);
   port_ = local_port(listen_fd_.get());
-  poller_ = Poller::create();
   next_gossip_ms_ = options_.gossip_interval_ms;
 
   const auto clock = [this] { return now_ms(); };
@@ -290,21 +289,21 @@ void TaskServer::flush_and_sweep_connections() {
       conn.dead = true;
     if (conn.dead || !conn.fd.valid()) {
       if (conn.fd.valid()) {
-        poller_->forget(conn.fd.get());
+        poller_.forget(conn.fd.get());
         fd_conn_.erase(conn.fd.get());
       }
       it = conns_.erase(it);
     } else {
-      poller_->watch(conn.fd.get(), /*want_read=*/true,
-                     /*want_write=*/!conn.out.empty());
+      poller_.watch(conn.fd.get(), /*want_read=*/true,
+                    /*want_write=*/!conn.out.empty());
       ++it;
     }
   }
 }
 
 void TaskServer::net_loop() {
-  poller_->watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
-  poller_->watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
+  poller_.watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
+  poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
   std::vector<Poller::Event> events;
   std::vector<Submission> submissions;
   while (running_.load(std::memory_order_relaxed)) {
@@ -321,7 +320,7 @@ void TaskServer::net_loop() {
       waiting_ = true;
     }
     events.clear();
-    poller_->wait(events, timeout_ms);
+    poller_.wait(events, timeout_ms);
     if (!running_.load(std::memory_order_relaxed)) break;
 
     {

@@ -2,8 +2,8 @@
 //
 // Wraps the same policy queues and worker execution loop as the in-process
 // runtime (runtime/Worker — the code path is shared, not duplicated) behind
-// an async TCP loop (epoll via net/poller.h, with a poll(2) fallback)
-// speaking the net/wire.h protocol:
+// an async TCP loop (epoll via net/poller.h) speaking the net/wire.h
+// protocol:
 //
 //   dispatcher --- SubmitTask ---> [policy queue] -> executor thread(s)
 //   dispatcher <--- TaskDone ----- (queue_ms, post-queuing time, miss flag)
@@ -157,7 +157,7 @@ class TaskServer {
   // tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::atomic<bool> running_{true};
 
   mutable Mutex mu_;

@@ -4,13 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <queue>
 #include <span>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "common/alloc_probe.h"
 #include "common/check.h"
@@ -18,244 +12,14 @@
 #include "common/stats.h"
 #include "dist/arrival.h"
 #include "dist/piecewise_linear_quantile.h"
+#include "sim/event_queue.h"
 
 namespace tailguard {
 
 namespace {
 
-// 16 bytes: the discriminant fields are packed into one integer whose
-// numeric order equals the old lexicographic (kind, server, payload) order,
-// so a tie on `time` is broken by a single compare and heap/wheel moves
-// copy two words. Arrivals are not Events at all — they come from a
-// time-monotone generator that the main loop merges with the queue (an
-// arrival wins time ties because every queued kind is > kArrival's 0).
-struct Event {
-  TimeMs time = 0.0;
-  std::uint64_t key = 0;  // kind << 62 | server << 32 | payload
-
-  enum Kind : std::uint8_t {
-    kTaskEnqueue = 1,    // task reaches its server after dispatch delay
-    kTaskDone = 2,       // server finishes its current task
-    kResultArrival = 3,  // result reaches the query handler
-  };
-
-  Event() = default;
-  Event(TimeMs t, Kind k, ServerId server, std::uint32_t payload = 0)
-      : time(t),
-        key((std::uint64_t{k} << 62) | (std::uint64_t{server} << 32) |
-            payload) {
-    TG_DCHECK(server < (1u << 30));
-  }
-
-  Kind kind() const { return static_cast<Kind>(key >> 62); }
-  ServerId server() const {
-    return static_cast<ServerId>((key >> 32) & ((1u << 30) - 1));
-  }
-  std::uint32_t payload() const { return static_cast<std::uint32_t>(key); }
-
-  // Min-heap ordering; the packed key breaks time ties deterministically.
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.key > b.key;
-  }
-};
-
-struct EventLess {
-  bool operator()(const Event& a, const Event& b) const { return b > a; }
-};
-struct EventTimeKey {
-  double operator()(const Event& e) const { return e.time; }
-};
-
-// The future event set. Three interchangeable backings, all yielding the
-// identical event sequence (exact (time, key) order), so every BENCH row is
-// bit-identical across the TAILGUARD_EVENT_QUEUE knob:
-//
-//   * dense — the default whenever the run has no network model. Then every
-//     event is a kTaskDone and a server has at most one outstanding, so the
-//     event set is just "completion time per busy server": push is a store
-//     plus an argmin update, pop rescans one 8-server block and the block
-//     minima. O(num_servers/8) beats both trees because the whole structure
-//     is a few flat cache lines.
-//   * heap — binary heap, the general-purpose backing (network runs). At
-//     the ~hundred pending events of the tested configurations its ~7
-//     hot-line compares also beat the timer wheel's slot walk.
-//   * wheel — the exact-order timer wheel (common/timer_wheel.h), here as
-//     an A/B experiment: the event population is far below the depth where
-//     its O(1) radix filing wins (see bench/micro_core_ops).
-class EventQueue {
- public:
-  // 20µs ticks: one 64-slot level-0 rotation (1.28ms) covers a typical
-  // service time, so most completions file straight into level 0 and are
-  // never re-placed by a cascade, while slots still hold only a handful of
-  // events at the tested loads.
-  static constexpr double kTickMs = 0.02;
-  static constexpr double kIdle = std::numeric_limits<double>::infinity();
-
-  /// `dense_servers` > 0 marks the run dense-eligible (every event will be
-  /// a kTaskDone with payload 0) with that many servers.
-  EventQueue(std::size_t expected, std::size_t dense_servers)
-      : wheel_(kTickMs) {
-    enum class Pick { kAuto, kDense, kHeap, kWheel } pick = Pick::kAuto;
-    if (const char* env = std::getenv("TAILGUARD_EVENT_QUEUE")) {
-      if (std::strcmp(env, "dense") == 0) pick = Pick::kDense;
-      else if (std::strcmp(env, "heap") == 0) pick = Pick::kHeap;
-      else if (std::strcmp(env, "wheel") == 0) pick = Pick::kWheel;
-      else TG_CHECK_MSG(false, "TAILGUARD_EVENT_QUEUE must be 'dense', "
-                               "'heap' or 'wheel', got '" << env << "'");
-    }
-    // 'dense' on an ineligible (network-model) run falls back to the heap:
-    // the knob selects among valid layouts, it cannot force a wrong one.
-    mode_ = (pick == Pick::kWheel) ? Mode::kWheel
-            : (pick == Pick::kHeap || dense_servers == 0) ? Mode::kHeap
-                                                          : Mode::kDense;
-    if (mode_ == Mode::kDense) {
-      const std::size_t padded = (dense_servers + kBlock - 1) & ~(kBlock - 1);
-      done_.assign(padded, kIdle);
-      // Rounded up to an even count (any extra entry pinned at kIdle) so
-      // the SSE2 rescan can always load block minima two at a time.
-      block_min_.assign((padded / kBlock + 1) & ~std::size_t{1}, kIdle);
-    } else if (mode_ == Mode::kHeap) {
-      heap_.reserve(expected);
-    }
-  }
-
-  void push(const Event& e) {
-    if (mode_ == Mode::kDense) {
-      TG_DCHECK(e.kind() == Event::kTaskDone && e.payload() == 0);
-      const std::uint32_t sid = e.server();
-      TG_DCHECK(done_[sid] == kIdle);
-      done_[sid] = e.time;
-      if (e.time < block_min_[sid / kBlock]) block_min_[sid / kBlock] = e.time;
-      if (count_ == 0 || e.time < min_time_ ||
-          (e.time == min_time_ && sid < min_idx_)) {
-        min_time_ = e.time;
-        min_idx_ = sid;
-      }
-      ++count_;
-    } else if (mode_ == Mode::kWheel) {
-      wheel_.push(e);
-    } else {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    }
-  }
-
-  Event pop() {
-    if (mode_ == Mode::kDense) {
-      const Event out(min_time_, Event::kTaskDone, min_idx_);
-      done_[min_idx_] = kIdle;
-      --count_;
-      refresh_block(min_idx_ / kBlock);
-      if (count_ != 0) rescan();
-      return out;
-    }
-    if (mode_ == Mode::kWheel) return wheel_.pop();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Event e = heap_.back();
-    heap_.pop_back();
-    return e;
-  }
-
-  bool empty() const {
-    return mode_ == Mode::kDense   ? count_ == 0
-           : mode_ == Mode::kWheel ? wheel_.empty()
-                                   : heap_.empty();
-  }
-
-  /// Time of the event pop() would return. Precondition: !empty().
-  TimeMs peek_time() const {
-    return mode_ == Mode::kDense   ? min_time_
-           : mode_ == Mode::kWheel ? wheel_.peek().time
-                                   : heap_.front().time;
-  }
-
- private:
-  enum class Mode : std::uint8_t { kDense, kHeap, kWheel };
-  static constexpr std::size_t kBlock = 8;  // one cache line of doubles
-
-  void refresh_block(std::size_t b) {
-    const double* base = done_.data() + b * kBlock;
-#if defined(__SSE2__)
-    // Pairwise min reduction. minpd is the exact IEEE minimum and min is
-    // order-independent (no NaNs here), so this equals the scalar scan.
-    const __m128d m01 = _mm_min_pd(_mm_loadu_pd(base), _mm_loadu_pd(base + 2));
-    const __m128d m23 =
-        _mm_min_pd(_mm_loadu_pd(base + 4), _mm_loadu_pd(base + 6));
-    const __m128d m = _mm_min_pd(m01, m23);
-    block_min_[b] = _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-#else
-    double m = kIdle;
-    for (std::size_t i = 0; i < kBlock; ++i) m = std::min(m, base[i]);
-    block_min_[b] = m;
-#endif
-  }
-
-  // First minimal block, then the first minimal server inside it — exactly
-  // the old (time, kind, server) tie order since dense events differ only in
-  // server id. The SSE2 path keeps that order via two exact passes: reduce
-  // to the minimum value, then take the first index comparing equal (cmpeq
-  // ties resolve to the lowest lane, same as the scalar strict-< scan).
-  void rescan() {
-#if defined(__SSE2__)
-    const double* bm = block_min_.data();
-    const std::size_t nb = block_min_.size();  // even by construction
-    // Two independent accumulator chains hide the minpd latency.
-    __m128d acc0 = _mm_loadu_pd(bm);
-    __m128d acc1 = _mm_set1_pd(kIdle);
-    std::size_t b = 2;
-    for (; b + 2 <= nb; b += 4) {
-      acc1 = _mm_min_pd(acc1, _mm_loadu_pd(bm + b));
-      if (b + 4 <= nb) acc0 = _mm_min_pd(acc0, _mm_loadu_pd(bm + b + 2));
-    }
-    const __m128d acc = _mm_min_pd(acc0, acc1);
-    const double m =
-        _mm_cvtsd_f64(_mm_min_sd(acc, _mm_unpackhi_pd(acc, acc)));
-    // Branchless first-equal scan: accumulate the per-pair cmpeq masks into
-    // one bitmask and take its lowest set bit. count_ != 0 here, so
-    // m < kIdle and the kIdle padding can never match.
-    const __m128d mv = _mm_set1_pd(m);
-    std::uint64_t mask = 0;
-    for (std::size_t p = 0; p < nb; p += 2)
-      mask |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                  _mm_cmpeq_pd(_mm_loadu_pd(bm + p), mv)))
-              << p;
-    const std::size_t best =
-        static_cast<std::size_t>(__builtin_ctzll(mask));
-    const double* base = done_.data() + best * kBlock;
-    std::uint64_t bmask = 0;
-    for (std::size_t i = 0; i < kBlock; i += 2)
-      bmask |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                   _mm_cmpeq_pd(_mm_loadu_pd(base + i), mv)))
-               << i;
-    const std::size_t off =
-        static_cast<std::size_t>(__builtin_ctzll(bmask));
-    min_time_ = m;
-    min_idx_ = static_cast<std::uint32_t>(best * kBlock + off);
-#else
-    std::size_t best = 0;
-    for (std::size_t b = 1; b < block_min_.size(); ++b)
-      if (block_min_[b] < block_min_[best]) best = b;
-    const double* base = done_.data() + best * kBlock;
-    std::size_t off = 0;
-    for (std::size_t i = 1; i < kBlock; ++i)
-      if (base[i] < base[off]) off = i;
-    min_time_ = base[off];
-    min_idx_ = static_cast<std::uint32_t>(best * kBlock + off);
-#endif
-  }
-
-  Mode mode_ = Mode::kHeap;
-  // dense state
-  std::vector<double> done_;       // completion time per server, kIdle if none
-  std::vector<double> block_min_;  // min of each kBlock-server block
-  std::size_t count_ = 0;
-  double min_time_ = kIdle;
-  std::uint32_t min_idx_ = 0;
-  // tree state
-  TimerWheel<Event, EventLess, EventTimeKey> wheel_;
-  std::vector<Event> heap_;  // min-heap via std::greater (operator>)
-};
+using sim_detail::Event;
+using sim_detail::EventQueue;
 
 // Payload carried by kTaskEnqueue (the task in flight) and kResultArrival
 // (the completed task's accounting), pooled with a freelist.
@@ -408,8 +172,7 @@ std::vector<std::shared_ptr<CdfModel>> build_models(
   return result;
 }
 
-// Environment fallback for SimConfig::sharding, mirroring the
-// TAILGUARD_EDF_IMPL / TAILGUARD_EVENT_QUEUE A/B pattern.
+// Environment fallback for SimConfig::sharding.
 ShardingOptions sharding_from_env() {
   ShardingOptions opts;
   if (const char* env = std::getenv("TAILGUARD_SHARDS")) {
@@ -606,8 +369,7 @@ SimResult run_simulation(const SimConfig& config) {
   // --- servers ---------------------------------------------------------------
   std::vector<ServerState> servers(config.num_servers);
   for (std::size_t s = 0; s < config.num_servers; ++s) {
-    servers[s].queue = make_task_queue(config.policy, config.classes.size(),
-                                       config.edf_impl);
+    servers[s].queue = make_task_queue(config.policy, config.classes.size());
     servers[s].queue_wheel =
         dynamic_cast<TimerWheelEdfQueue*>(servers[s].queue.get());
     servers[s].queue_fifo =
@@ -670,7 +432,7 @@ SimResult run_simulation(const SimConfig& config) {
 
   SimResult result;
 
-  // Size hint for the binary-heap fallback: one next-arrival event, at most
+  // Size hint for the heap backing: one next-arrival event, at most
   // one kTaskDone per server, and — when the network model is on —
   // dispatch/result events in flight. The in-flight population scales with
   // the shard count too: each shard's admission window meters its own slice

@@ -86,6 +86,8 @@ struct SimConfig {
   /// post-queuing time t_po (the online estimator observes it; kExact
   /// estimation does not see it and is correspondingly optimistic).
   /// Unset = zero-delay (central queuing at the handler, the default).
+  /// Either delay moves the future event set from its dense per-server
+  /// form to the binary heap (sim/event_queue.h).
   DistributionPtr dispatch_delay_ms;
   DistributionPtr result_delay_ms;
 
@@ -106,14 +108,6 @@ struct SimConfig {
   double warmup_fraction = 0.1;
 
   std::uint64_t seed = 1;
-
-  /// Structure backing the per-server EDF queues: binary heap or the
-  /// exact-order timer wheel (with its sorted-array front). Both produce
-  /// bit-identical schedules; kDefault resolves via TAILGUARD_EDF_IMPL so
-  /// whole-figure runs can be A/B'd from the shell. (The simulator's own
-  /// future-event set has a separate knob, TAILGUARD_EVENT_QUEUE, defaulting
-  /// to the binary heap — see EventQueue in simulator.cc.)
-  EdfQueueImpl edf_impl = EdfQueueImpl::kDefault;
 
   EstimationMode estimation = EstimationMode::kExact;
   /// Offline profiling sample size per model (kOfflineEmpirical /
@@ -138,9 +132,9 @@ struct SimConfig {
   /// delta-sync (src/shard). Unset resolves from the environment —
   /// TAILGUARD_SHARDS, TAILGUARD_SHARD_SYNC_MS, TAILGUARD_SHARD_ROUTER
   /// (hash|round-robin|class-affinity) — defaulting to a single shard, so
-  /// whole-figure runs can be A/B'd from the shell like the EDF/event-queue
-  /// knobs. One shard with sync disabled is bit-identical to the unsharded
-  /// control plane (the parity invariant).
+  /// whole-figure runs can be A/B'd from the shell. One shard with sync
+  /// disabled is bit-identical to the unsharded control plane (the parity
+  /// invariant).
   std::optional<ShardingOptions> sharding;
 
   /// Request mode (paper §III.B remark, Eq. 7): each arrival is a *request*

@@ -7,10 +7,12 @@
 //    scale with the query count (amortized vector doublings only).
 //  * The query tracker stays bounded on a long-running service: its id
 //    table drops the dead prefix instead of growing 4 bytes per query.
-//  * Batched same-timestamp completion draining is pure restructuring: for
-//    randomized seeds and loads the results are bit-identical across the
-//    three event-queue backings (dense / heap / wheel), which pop the same
-//    event sequence one way or another, and across repeated runs.
+//  * The event set's two backings (sim/event_queue.h) are interchangeable:
+//    dense and heap pop the identical (time, key) sequence under randomized
+//    pushes, time ties and interleaved pops at several cluster sizes.
+//  * Batched same-timestamp completion draining is pure restructuring:
+//    repeated runs of one config are bit-identical, with and without a
+//    network model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +24,10 @@
 #include <vector>
 
 #include "common/alloc_probe.h"
+#include "common/rng.h"
 #include "core/query_tracker.h"
 #include "dist/standard.h"
+#include "sim/event_queue.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
@@ -178,42 +182,70 @@ TEST(HotPathAlloc, NoHookMeansZeroReported) {
   set_alloc_count_fn(&news_count);
 }
 
-TEST(BatchedCompletionParity, BitIdenticalAcrossBackendsSeedsAndLoads) {
+TEST(EventQueue, DenseAndHeapPopIdenticalSequences) {
+  using sim_detail::Event;
+  using sim_detail::EventQueue;
+  constexpr int kRounds = 2000;
+  // 1 and 7 servers pad out their one 8-server block, 20 part-fill the
+  // last of three, 100 span 13 blocks for the block-minimum rescan.
+  for (const std::size_t servers : {1u, 7u, 20u, 100u}) {
+    EventQueue dense(0, servers);
+    EventQueue heap(servers, 0);
+    std::vector<bool> busy(servers, false);
+    std::size_t pending = 0;
+    Rng rng(servers);
+    TimeMs now = 0.0;
+    for (int round = 0; round <= kRounds; ++round) {
+      // As in the simulator, dense holds at most one kTaskDone per server,
+      // so only idle servers get an event. Times sit on a 0.25 ms grid from
+      // `now` on: ties, with each other and with `now`, are common.
+      const auto pushes = round < kRounds ? rng.uniform_index(servers + 1) : 0;
+      for (std::uint64_t i = 0; i < pushes && pending < servers; ++i) {
+        auto sid = static_cast<ServerId>(rng.uniform_index(servers));
+        while (busy[sid]) sid = static_cast<ServerId>((sid + 1) % servers);
+        busy[sid] = true;
+        ++pending;
+        const Event e(now + 0.25 * static_cast<double>(rng.uniform_index(6)),
+                      Event::kTaskDone, sid);
+        dense.push(e);
+        heap.push(e);
+      }
+      // The last round drains both.
+      const auto pops =
+          round < kRounds ? rng.uniform_index(pending + 1) : pending;
+      for (std::uint64_t i = 0; i < pops; ++i) {
+        ASSERT_EQ(dense.peek_time(), heap.peek_time()) << servers;
+        const Event a = dense.pop();
+        const Event b = heap.pop();
+        ASSERT_EQ(a.time, b.time) << servers << " servers, round " << round;
+        ASSERT_EQ(a.key, b.key) << servers << " servers, round " << round;
+        busy[a.server()] = false;
+        --pending;
+        now = a.time;
+      }
+      ASSERT_EQ(dense.empty(), heap.empty());
+    }
+    EXPECT_TRUE(heap.empty());
+  }
+}
+
+TEST(BatchedCompletionParity, RerunsAreBitIdentical) {
+  // Without a network model the run uses the dense event set; with
+  // dispatch/result delays every timestamp also carries kTaskEnqueue /
+  // kResultArrival payload events on the heap.
   for (const std::uint64_t seed : {1ULL, 7ULL, 13ULL}) {
     for (const double load : {0.3, 0.7, 0.95}) {
       SimConfig cfg = hot_config(8000, seed);
       set_load(cfg, load);
-      std::vector<std::uint64_t> prints;
-      for (const char* backend : {"dense", "heap", "wheel"}) {
-        ::setenv("TAILGUARD_EVENT_QUEUE", backend, 1);
-        prints.push_back(fingerprint(run_simulation(cfg)));
-      }
-      ::unsetenv("TAILGUARD_EVENT_QUEUE");
-      // Re-run with the default backing: repeatability of the batch drain.
-      prints.push_back(fingerprint(run_simulation(cfg)));
-      for (std::size_t i = 1; i < prints.size(); ++i)
-        EXPECT_EQ(prints[i], prints[0])
-            << "seed " << seed << " load " << load << " variant " << i;
+      EXPECT_EQ(fingerprint(run_simulation(cfg)),
+                fingerprint(run_simulation(cfg)))
+          << "seed " << seed << " load " << load;
+      cfg.dispatch_delay_ms = std::make_shared<Deterministic>(0.05);
+      cfg.result_delay_ms = std::make_shared<Deterministic>(0.05);
+      EXPECT_EQ(fingerprint(run_simulation(cfg)),
+                fingerprint(run_simulation(cfg)))
+          << "network model, seed " << seed << " load " << load;
     }
-  }
-}
-
-TEST(BatchedCompletionParity, NetworkModelRunsAgreeAcrossTreeBackends) {
-  // With dispatch/result delays every timestamp carries kTaskEnqueue /
-  // kResultArrival payload events too — the batch drain must group those
-  // identically under both tree backings (dense is ineligible here).
-  for (const std::uint64_t seed : {2ULL, 11ULL}) {
-    SimConfig cfg = hot_config(4000, seed);
-    cfg.dispatch_delay_ms = std::make_shared<Deterministic>(0.05);
-    cfg.result_delay_ms = std::make_shared<Deterministic>(0.05);
-    set_load(cfg, 0.6);
-    std::vector<std::uint64_t> prints;
-    for (const char* backend : {"heap", "wheel"}) {
-      ::setenv("TAILGUARD_EVENT_QUEUE", backend, 1);
-      prints.push_back(fingerprint(run_simulation(cfg)));
-    }
-    ::unsetenv("TAILGUARD_EVENT_QUEUE");
-    EXPECT_EQ(prints[1], prints[0]) << "seed " << seed;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -265,11 +266,8 @@ TEST(Wire, EncodeIntoEmptyPayloadFrame) {
 
 // ----------------------------------------------------- poller & send queue
 
-class PollerBackends : public ::testing::TestWithParam<net::Poller::Backend> {};
-
-TEST_P(PollerBackends, ReportsReadWriteAndHangup) {
-  auto poller = net::Poller::create(GetParam());
-  ASSERT_EQ(poller->backend(), GetParam());
+TEST(Poller, ReportsReadWriteAndHangup) {
+  net::Poller poller;
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -277,49 +275,49 @@ TEST_P(PollerBackends, ReportsReadWriteAndHangup) {
   net::set_nonblocking(a.get());
 
   // Read interest, nothing to read: timeout.
-  poller->watch(a.get(), /*want_read=*/true, /*want_write=*/false);
+  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/false);
   std::vector<net::Poller::Event> events;
-  EXPECT_EQ(poller->wait(events, 0), 0);
+  EXPECT_EQ(poller.wait(events, 0), 0);
   EXPECT_TRUE(events.empty());
 
   // Peer writes: readable, and not writable (no write interest).
   const std::uint8_t byte = 0x42;
   ASSERT_EQ(::send(b.get(), &byte, 1, MSG_NOSIGNAL), 1);
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].fd, a.get());
   EXPECT_TRUE(events[0].readable);
   EXPECT_FALSE(events[0].writable);
 
   // Adding write interest on an idle socket: writable immediately.
-  poller->watch(a.get(), /*want_read=*/true, /*want_write=*/true);
+  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/true);
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_TRUE(events[0].writable);
 
   // Peer closes: hangup-class condition reported.
   b.reset();
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   EXPECT_TRUE(events[0].closed || events[0].readable);  // EOF shows as either
 
   // After forget(), the fd produces no more events.
-  poller->forget(a.get());
+  poller.forget(a.get());
   events.clear();
-  EXPECT_EQ(poller->wait(events, 0), 0);
+  EXPECT_EQ(poller.wait(events, 0), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackends,
-                         ::testing::Values(net::Poller::Backend::kEpoll,
-                                           net::Poller::Backend::kPoll));
-
-TEST(Poller, EnvSelectsPollBackend) {
-  ::setenv("TAILGUARD_NET_BACKEND", "poll", 1);
-  EXPECT_EQ(net::Poller::create()->backend(), net::Poller::Backend::kPoll);
-  ::unsetenv("TAILGUARD_NET_BACKEND");
-  EXPECT_EQ(net::Poller::create()->backend(), net::Poller::Backend::kEpoll);
+TEST(Poller, WatchOnClosedDescriptorThrows) {
+  // A failed epoll_ctl would leave the descriptor silently unwatched, so
+  // its connection would never report readiness: watch() must say so.
+  net::Poller poller;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  EXPECT_THROW(poller.watch(fd, /*want_read=*/true, /*want_write=*/false),
+               CheckFailure);
 }
 
 TEST(SendQueue, CoalescesFramesAndFlushesInOneBatch) {
@@ -588,33 +586,6 @@ net::DispatcherOptions dispatcher_options(
   options.policy = policy;
   options.classes = std::move(classes);
   return options;
-}
-
-TEST(RemoteDispatcher, PollBackendEndToEnd) {
-  // The full dispatcher <-> task-server loop on the poll(2) fallback: both
-  // net loops pick their backend at construction, so the env var must be in
-  // place before either starts. Differential coverage for the epoll default
-  // every other test exercises.
-  ::setenv("TAILGUARD_NET_BACKEND", "poll", 1);
-  {
-    auto fleet = start_fleet(2, Policy::kTfEdf, 1);
-    net::RemoteDispatcher dispatcher(dispatcher_options(
-        fleet, Policy::kTfEdf, {{.slo_ms = 100.0, .percentile = 99.0}}));
-    ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
-    std::vector<std::future<QueryResult>> futures;
-    for (int q = 0; q < 10; ++q) {
-      std::vector<net::RemoteTaskSpec> tasks(2);
-      for (auto& t : tasks) t.simulated_service_ms = 0.2;
-      futures.push_back(dispatcher.submit(0, std::move(tasks)));
-    }
-    for (auto& f : futures) {
-      const QueryResult r = f.get();
-      EXPECT_TRUE(r.admitted);
-      EXPECT_EQ(r.tasks_failed, 0u);
-    }
-    EXPECT_EQ(dispatcher.completed_queries(), 10u);
-  }
-  ::unsetenv("TAILGUARD_NET_BACKEND");
 }
 
 TEST(RemoteDispatcher, SubmitsAndCompletesQueries) {

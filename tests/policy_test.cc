@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -182,8 +181,8 @@ TEST(EdfTaskQueue, ReportsConfiguredPolicy) {
 // -------------------------------------------------------------- EDF wheel
 
 // The timer-wheel EDF queue must be indistinguishable from the binary-heap
-// one: identical (task, deadline, seq) pop sequences, bit for bit. This is
-// what lets make_task_queue switch the default implementation without
+// reference: identical (task, deadline, seq) pop sequences, bit for bit.
+// This is what let make_task_queue replace the heap with the wheel without
 // perturbing a single BENCH row.
 TEST(TimerWheelEdfQueue, PopSequenceBitIdenticalToBinaryHeap) {
   // Deliberately coarse tick so many distinct deadlines share one slot, and
@@ -267,17 +266,11 @@ TEST(TimerWheelEdfQueue, PopEmptyThrowsAndPolicyChecked) {
 
 // ---------------------------------------------------------------- factory
 
-TEST(MakeTaskQueue, EdfImplSelectsBackingStructure) {
-  const auto heap =
-      make_task_queue(Policy::kTfEdf, 1, EdfQueueImpl::kBinaryHeap);
-  const auto wheel =
-      make_task_queue(Policy::kTfEdf, 1, EdfQueueImpl::kTimerWheel);
-  EXPECT_NE(dynamic_cast<EdfTaskQueue*>(heap.get()), nullptr);
-  EXPECT_NE(dynamic_cast<TimerWheelEdfQueue*>(wheel.get()), nullptr);
-  // kDefault resolves to the wheel unless TAILGUARD_EDF_IMPL overrides it.
-  if (std::getenv("TAILGUARD_EDF_IMPL") == nullptr) {
-    EXPECT_EQ(resolve_edf_queue_impl(EdfQueueImpl::kDefault),
-              EdfQueueImpl::kTimerWheel);
+TEST(MakeTaskQueue, EdfPoliciesBuildTimerWheelEdfQueue) {
+  for (Policy p : {Policy::kTEdf, Policy::kTfEdf}) {
+    const auto q = make_task_queue(p);
+    EXPECT_NE(dynamic_cast<TimerWheelEdfQueue*>(q.get()), nullptr)
+        << to_string(p);
   }
 }
 
