@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -40,8 +41,42 @@ double StreamingHistogram::bucket_upper(std::size_t i) const {
   return std::exp(log_min_ + static_cast<double>(i + 1) / inv_log_width_);
 }
 
+void StreamingHistogram::allocate_caches() const {
+  if (!prefix_.empty()) return;
+  prefix_.assign(weights_.size() + 1, 0.0);
+  log_edges_.assign(weights_.size() + 1,
+                    std::numeric_limits<double>::quiet_NaN());
+}
+
+void StreamingHistogram::extend_prefix(std::size_t i) const {
+  allocate_caches();
+  // Writes only while extending: a complete copy's readers must not store.
+  for (std::size_t k = prefix_valid_; k < i; ++k) {
+    prefix_[k + 1] = prefix_[k] + weights_[k];
+    prefix_valid_ = k + 1;
+  }
+}
+
+double StreamingHistogram::log_edge(std::size_t i) const {
+  // bucket_upper(i) is bucket_lower(i + 1) below the overflow bucket, so one
+  // table serves both edges of every bucket.
+  double& v = log_edges_[i];
+  if (std::isnan(v)) {
+    v = std::log(i < weights_.size() ? bucket_lower(i) : options_.max_value);
+  }
+  return v;
+}
+
+void StreamingHistogram::materialize() const {
+  extend_prefix(weights_.size());
+  for (std::size_t i = 0; i < log_edges_.size(); ++i) log_edge(i);
+}
+
 void StreamingHistogram::add(double x) {
-  weights_[bucket_index(x)] += 1.0;
+  const std::size_t idx = bucket_index(x);
+  weights_[idx] += 1.0;
+  // prefix_[0..idx] does not include weights_[idx]; everything above does.
+  prefix_valid_ = std::min(prefix_valid_, idx);
   total_ += 1.0;
   weighted_sum_ += std::max(x, options_.min_value);
   ++observations_;
@@ -50,6 +85,7 @@ void StreamingHistogram::add(double x) {
     for (auto& w : weights_) w *= options_.decay_factor;
     total_ *= options_.decay_factor;
     weighted_sum_ *= options_.decay_factor;
+    prefix_valid_ = 0;
   }
 }
 
@@ -57,38 +93,60 @@ double StreamingHistogram::cdf(double x) const {
   if (total_ <= 0.0) return 0.0;
   if (x >= options_.max_value) return 1.0;
   if (x <= options_.min_value) return 0.0;
-  const std::size_t idx = bucket_index(x);
-  double below = 0.0;
-  for (std::size_t i = 0; i < idx; ++i) below += weights_[i];
-  // Log-linear interpolation within the bucket containing x.
-  const double lo = bucket_lower(idx);
-  const double hi = bucket_upper(idx);
-  const double frac =
-      hi > lo ? (std::log(x) - std::log(lo)) / (std::log(hi) - std::log(lo))
-              : 1.0;
-  return (below + frac * weights_[idx]) / total_;
+  // bucket_index(x) with its log kept for the interpolation. A NaN x lands
+  // in the last finite bucket and yields NaN.
+  const double log_x = std::log(x);
+  const double pos = (log_x - log_min_) * inv_log_width_;
+  const std::size_t last = weights_.size() - 2;
+  const std::size_t idx =
+      pos < static_cast<double>(last) ? static_cast<std::size_t>(pos) : last;
+  extend_prefix(idx);
+  // Log-linear interpolation within the bucket containing x. The edge test
+  // falls back to the edges themselves only when their logs tie.
+  const double lo = log_edge(idx);
+  const double hi = log_edge(idx + 1);
+  const double frac = hi > lo || bucket_upper(idx) > bucket_lower(idx)
+                          ? (log_x - lo) / (hi - lo)
+                          : 1.0;
+  return (prefix_[idx] + frac * weights_[idx]) / total_;
 }
 
 double StreamingHistogram::quantile(double p) const {
   TG_CHECK_MSG(p >= 0.0 && p <= 1.0, "quantile prob out of range: " << p);
   if (total_ <= 0.0) return 0.0;
   const double target = p * total_;
-  double cum = 0.0;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    if (weights_[i] <= 0.0) continue;
-    if (cum + weights_[i] >= target) {
-      const double frac = weights_[i] > 0.0
-                              ? std::clamp((target - cum) / weights_[i], 0.0, 1.0)
-                              : 1.0;
-      const double lo = std::log(bucket_lower(i));
-      const double hi = std::log(bucket_upper(i));
-      // The geometric bucket grid may slightly overshoot max_value; clamp so
-      // the estimate never exceeds the configured domain.
-      return std::min(options_.max_value, std::exp(lo + frac * (hi - lo)));
+  allocate_caches();
+  // A scan from bucket 0 stops at the first non-empty bucket i whose running
+  // sum prefix_[i + 1] reaches the target. The prefix never decreases, so
+  // that is the first non-empty bucket at or after the first i with
+  // prefix_[i + 1] >= target: search below the watermark when the target is
+  // already reached there, otherwise extend only until it is.
+  const std::size_t n = weights_.size();
+  std::size_t i = prefix_valid_;
+  if (i > 0 && prefix_[i] >= target) {
+    i = static_cast<std::size_t>(
+        std::lower_bound(prefix_.begin() + 1, prefix_.begin() + i + 1, target) -
+        prefix_.begin() - 1);
+  } else {
+    for (; i < n; ++i) {
+      prefix_[i + 1] = prefix_[i] + weights_[i];
+      prefix_valid_ = i + 1;
+      if (prefix_[i + 1] >= target) break;
     }
-    cum += weights_[i];
   }
-  return options_.max_value;
+  if (i == n) return options_.max_value;
+  // Only p * total_ == 0 can stop on an empty bucket (then i == 0); the
+  // buckets skipped here add nothing to the running sum.
+  const double cum = prefix_[i];
+  while (!(weights_[i] > 0.0)) {
+    if (++i == n) return options_.max_value;
+  }
+  const double frac = std::clamp((target - cum) / weights_[i], 0.0, 1.0);
+  const double lo = log_edge(i);
+  const double hi = log_edge(i + 1);
+  // The geometric bucket grid may slightly overshoot max_value; clamp so
+  // the estimate never exceeds the configured domain.
+  return std::min(options_.max_value, std::exp(lo + frac * (hi - lo)));
 }
 
 double StreamingHistogram::mean() const {
@@ -101,6 +159,7 @@ void StreamingHistogram::clear() {
   weighted_sum_ = 0.0;
   observations_ = 0;
   since_decay_ = 0;
+  prefix_valid_ = 0;
 }
 
 }  // namespace tailguard

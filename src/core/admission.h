@@ -15,8 +15,9 @@
 // liveness.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/types.h"
 
@@ -85,18 +86,33 @@ class AdmissionController {
  private:
   /// Window entries carry a weight so remote delta batches merge as a single
   /// entry instead of being replayed task-by-task. Local dequeues use
-  /// count=1, making the weighted window behave exactly like the original
-  /// one-entry-per-task deque.
+  /// count=1, making the weighted window behave exactly like a window of
+  /// one entry per task.
   struct Entry {
     TimeMs time;
     std::uint64_t count;
     std::uint64_t missed;
   };
 
+  /// The window, oldest first, is a ring of window_size_ entries starting at
+  /// slot window_head_, stored in blocks of kBlockEntries. Entries leave by
+  /// advancing the head and a full ring grows by one block, so a warm window
+  /// slides without allocating and holds at most one block more than the
+  /// largest window it has seen.
+  static constexpr std::size_t kBlockEntries = 1024;
+
   void evict(TimeMs now);
+  void push_back(const Entry& e);
+  void grow();
+  Entry& slot(std::size_t s) {
+    return blocks_[s / kBlockEntries][s % kBlockEntries];
+  }
 
   AdmissionOptions options_;
-  std::deque<Entry> window_;
+  std::vector<std::vector<Entry>> blocks_;
+  std::size_t window_capacity_ = 0;  // blocks_.size() * kBlockEntries
+  std::size_t window_head_ = 0;
+  std::size_t window_size_ = 0;
   std::uint64_t tasks_in_window_ = 0;
   std::uint64_t misses_in_window_ = 0;
   std::uint64_t admitted_ = 0;

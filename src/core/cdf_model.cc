@@ -60,7 +60,11 @@ void StreamingCdfModel::observe(TimeMs t) {
 
 std::shared_ptr<CdfModel> StreamingCdfModel::clone() const {
   // Histogram weights, refresh phase and version all copy; the clone then
-  // evolves independently of the original.
+  // evolves independently of the original. The lookup caches are filled on
+  // this model first (callers hold its owner's lock, as for any const call)
+  // and copied with it, so concurrent readers of a snapshot never write to
+  // it, and a later clone only tops up the prefix.
+  hist_.materialize();
   return std::shared_ptr<CdfModel>(new StreamingCdfModel(*this));
 }
 

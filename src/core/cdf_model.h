@@ -19,6 +19,14 @@
 
 namespace tailguard {
 
+/// Thread safety: a live model is read and updated under its owner's lock
+/// (TailGuardService's per-shard Shard::mu, RemoteDispatcher's mu_) or by
+/// one thread (a simulation run). That covers const calls too:
+/// StreamingCdfModel::cdf() and quantile() fill lookup caches, so two
+/// threads may not call them on one live model at once. A clone() comes back
+/// with every cache filled, so any number of threads may read a clone while
+/// nobody updates it (the snapshots of TailGuardService::worker_model() and
+/// RemoteDispatcher::server_model()).
 class CdfModel {
  public:
   virtual ~CdfModel() = default;
@@ -40,6 +48,7 @@ class CdfModel {
   /// models so each shard evolves its own online view (sharing a mutable
   /// model across shards would make every observation instantly global and
   /// defeat the staleness semantics the delta-sync is meant to expose).
+  /// The copy's const calls write nothing until it is next updated.
   virtual std::shared_ptr<CdfModel> clone() const = 0;
 };
 

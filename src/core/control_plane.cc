@@ -53,9 +53,9 @@ double QueryControlPlane::admission_miss_ratio(TimeMs now) {
   return admission_ ? admission_->miss_ratio(now) : 0.0;
 }
 
-std::vector<ServerId> QueryControlPlane::place(
-    std::vector<PlacementCandidate> candidates, std::size_t count, ClassId cls,
-    TimeMs now) {
+void QueryControlPlane::place(std::vector<PlacementCandidate>& candidates,
+                              std::size_t count, ClassId cls, TimeMs now,
+                              std::vector<ServerId>& out) {
   ++placement_stats_.decisions;
   PlacementContext ctx;
   ctx.now_ms = now;
@@ -82,10 +82,8 @@ std::vector<ServerId> QueryControlPlane::place(
       ++placement_stats_.decisions_with_slack;
     }
   }
-  std::vector<ServerId> out;
   placement_stats_.candidates_considered +=
       placement_policy_->place(candidates, count, ctx, rng_, out);
-  return out;
 }
 
 TimeMs QueryControlPlane::budget(ClassId cls,

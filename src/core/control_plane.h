@@ -130,10 +130,19 @@ class QueryControlPlane {
   /// core/placement/policy.h for the per-policy contracts; the default
   /// least_loaded is bit-identical to the former hardcoded pick). `cls` and
   /// `now` feed the tail-risk policy's budget hint and staleness accounting;
-  /// the other policies ignore them.
+  /// the other policies ignore them. The picks replace the contents of
+  /// `out`; `candidates` is scratch the policy may reorder. A caller that
+  /// reuses both vectors across decisions places without allocating.
+  void place(std::vector<PlacementCandidate>& candidates, std::size_t count,
+             ClassId cls, TimeMs now, std::vector<ServerId>& out);
+  /// The same decision, returned in a new vector.
   std::vector<ServerId> place(std::vector<PlacementCandidate> candidates,
                               std::size_t count, ClassId cls = 0,
-                              TimeMs now = 0.0);
+                              TimeMs now = 0.0) {
+    std::vector<ServerId> out;
+    place(candidates, count, cls, now, out);
+    return out;
+  }
 
   PlacementPolicyKind placement_kind() const {
     return placement_policy_->kind();

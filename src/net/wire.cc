@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
@@ -82,11 +83,14 @@ class Reader {
       *v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
     return true;
   }
+  /// Every f64 field is a time: NaN or an infinity is malformed. Letting
+  /// one through would poison a streaming model's running sums for good or
+  /// overflow a duration conversion on the daemon.
   bool f64(double* v) {
     std::uint64_t bits = 0;
     if (!u64(&bits)) return false;
     *v = std::bit_cast<double>(bits);
-    return true;
+    return std::isfinite(*v);
   }
   bool str(std::string* s) {
     std::uint32_t n = 0;
@@ -308,6 +312,9 @@ bool decode(const Frame& frame, GossipDeltaMsg* out) {
   if (!(r.u32(&d.origin) && r.u64(&d.seq) && r.u64(&d.dequeues_recorded) &&
         r.u64(&d.dequeues_missed) && r.u32(&num_servers)))
     return false;
+  // More misses than dequeues cannot happen; the admission window would
+  // reject the increment with a failed check on the net thread.
+  if (d.dequeues_missed > d.dequeues_recorded) return false;
   // Each entry is at least 17 bytes; reject counts the payload cannot hold
   // before reserving (same guard as ModelSync's sample count).
   if (static_cast<std::size_t>(num_servers) * 17 > frame.payload.size())

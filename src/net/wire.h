@@ -185,7 +185,9 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Payload decoders; return false on truncated/trailing/corrupt payloads.
+/// Payload decoders; return false on truncated/trailing/corrupt payloads,
+/// including a non-finite f64 field and a GossipDelta with more dequeues
+/// missed than recorded.
 bool decode(const Frame& frame, HelloMsg* out);
 bool decode(const Frame& frame, HelloAckMsg* out);
 bool decode(const Frame& frame, SubmitTaskMsg* out);

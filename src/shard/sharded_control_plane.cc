@@ -128,7 +128,8 @@ ShardDelta ShardedControlPlane::collect_delta(std::uint32_t shard) {
   delta.dequeues_missed = p.missed;
   const std::size_t cap = sharding_.max_sync_samples_per_server;
   // Deterministic thinning to the per-server cap: an evenly-strided subset
-  // of the buffer, counting what the stride lost.
+  // of the buffer, counting what the stride lost. Samples are copied out,
+  // never moved, so the pending buffer keeps its capacity for the next round.
   const auto thin = [cap](std::vector<double>& buf, std::vector<double>& out,
                           std::uint64_t& dropped) {
     if (cap > 0 && buf.size() > cap) {
@@ -138,7 +139,7 @@ ShardDelta ShardedControlPlane::collect_delta(std::uint32_t shard) {
       }
       dropped += buf.size() - cap;
     } else {
-      out = std::move(buf);
+      out.assign(buf.begin(), buf.end());
     }
     buf.clear();
   };

@@ -112,7 +112,13 @@ class ShardedControlPlane {
   }
 
   /// Placement under the shard's configured policy (every shard shares one
-  /// PlacementPolicyOptions; see QueryControlPlane::place).
+  /// PlacementPolicyOptions; see QueryControlPlane::place for the
+  /// out-parameter contract).
+  void place(std::uint32_t shard, std::vector<PlacementCandidate>& candidates,
+             std::size_t count, ClassId cls, TimeMs now,
+             std::vector<ServerId>& out) {
+    shards_[shard]->place(candidates, count, cls, now, out);
+  }
   std::vector<ServerId> place(std::uint32_t shard,
                               std::vector<PlacementCandidate> candidates,
                               std::size_t count, ClassId cls = 0,

@@ -1,5 +1,7 @@
 #include "shard/state_sync.h"
 
+#include <iterator>
+
 #include "common/check.h"
 
 namespace tailguard {
@@ -30,7 +32,8 @@ void StateSyncBus::publish(const ShardDelta& delta) {
 std::vector<ShardDelta> StateSyncBus::drain(std::uint32_t shard) {
   TG_CHECK_MSG(shard < inboxes_.size(), "shard out of range");
   std::deque<ShardDelta>& inbox = inboxes_[shard];
-  std::vector<ShardDelta> out(inbox.begin(), inbox.end());
+  std::vector<ShardDelta> out(std::make_move_iterator(inbox.begin()),
+                              std::make_move_iterator(inbox.end()));
   inbox.clear();
   deltas_delivered_ += out.size();
   return out;

@@ -531,9 +531,9 @@ SimResult run_simulation(const SimConfig& config) {
       placed = chosen;
     } else if (informed_placement) {
       // pow_d / tail_risk: live queue depths (queued + in service) as the
-      // candidate loads, decided by the shard's policy. Per-decision cost
-      // (an O(n) candidate build and a returned vector) is acceptable on
-      // this opt-in path; the default path below stays allocation-free.
+      // candidate loads, decided by the shard's policy. Each decision costs
+      // an O(n) candidate build; both the candidates and the picks reuse
+      // run-long scratch, so this path allocates nothing either.
       TG_CHECK_MSG(kf <= servers.size(),
                    "fanout " << kf << " exceeds cluster size "
                              << servers.size());
@@ -543,7 +543,7 @@ SimResult run_simulation(const SimConfig& config) {
             servers[s].queue_len + (servers[s].busy ? 1 : 0),
             static_cast<ServerId>(s));
       }
-      chosen = control.place(shard, std::move(cand_scratch), kf, cls, t);
+      control.place(shard, cand_scratch, kf, cls, t, chosen);
       placed = chosen;
     } else {
       default_placement(rng, cls, kf);

@@ -117,7 +117,10 @@ struct SimConfig {
   /// When non-empty, these models (one per server; shared_ptr identity forms
   /// the groups) are handed to the control plane verbatim and `estimation` /
   /// `offline_seed_samples` are ignored. Lets cross-backend tests drive the
-  /// simulator with the exact models another backend uses.
+  /// simulator with the exact models another backend uses. The run reads
+  /// and updates them from its own thread without a lock (a streaming
+  /// model's lookups fill caches, see CdfModel), so a model must not be
+  /// shared across runs that execute concurrently; give each run clones.
   std::vector<std::shared_ptr<CdfModel>> server_models;
 
   /// Observer called once per admitted query with the control plane's

@@ -1,7 +1,11 @@
 // Tests for the admission controller and the query tracker.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/admission.h"
 #include "core/query_tracker.h"
 
@@ -119,6 +123,48 @@ TEST(AdmissionController, ProportionalModeAdmitsBelowThreshold) {
                            .mode = AdmissionMode::kProportional});
   for (int i = 0; i < 100; ++i) ctl.record_task_dequeue(i, i % 20 == 0);
   EXPECT_TRUE(ctl.should_admit(100.0, 0.0));  // 5% < 10%
+}
+
+TEST(AdmissionController, WindowEvictsLikeAReferenceDeque) {
+  // The window is a block ring that grows in place; its eviction must match
+  // a plain FIFO of (time, count, missed) entries exactly, including when
+  // the ring grows while its head sits mid-block after wrapping.
+  struct Entry {
+    TimeMs time;
+    std::uint64_t count;
+    std::uint64_t missed;
+  };
+  const AdmissionOptions opt{.window_tasks = 100000, .window_ms = 2.0};
+  AdmissionController ctl(opt);
+  std::deque<Entry> ref;
+  std::uint64_t tasks = 0;
+  std::uint64_t misses = 0;
+  Rng rng(17);
+  TimeMs now = 0.0;
+  for (int i = 0; i < 300000; ++i) {
+    // Lulls of a few entries between ever denser bursts: each burst grows
+    // the window past every earlier size, from wherever the lull left the
+    // head, and the last one reaches the count bound.
+    const int phase = i / 20000;
+    now += phase % 3 == 0 ? 1e-4 / (1 + phase / 3) : rng.uniform() * 4e-3;
+    const std::uint64_t count =
+        rng.uniform() < 0.05 ? 1 + rng.uniform_index(9) : 1;
+    const std::uint64_t missed = rng.uniform_index(count + 1) / 2;
+    ctl.record_remote_dequeues(now, count, missed);
+    ref.push_back({now, count, missed});
+    tasks += count;
+    misses += missed;
+    while (!ref.empty() && (now - ref.front().time > opt.window_ms ||
+                            tasks > opt.window_tasks)) {
+      tasks -= ref.front().count;
+      misses -= ref.front().missed;
+      ref.pop_front();
+    }
+    const double want =
+        ref.empty() ? 0.0
+                    : static_cast<double>(misses) / static_cast<double>(tasks);
+    ASSERT_EQ(ctl.miss_ratio(now), want) << "step " << i;
+  }
 }
 
 TEST(AdmissionController, PaperDefaults) {

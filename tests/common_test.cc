@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -270,6 +274,177 @@ TEST(StreamingHistogram, OverflowBucketClamps) {
   h.add(1e9);
   EXPECT_DOUBLE_EQ(h.cdf(10.0), 1.0);
   EXPECT_LE(h.quantile(0.99), 10.0);
+}
+
+// The scan lookups that StreamingHistogram's prefix and edge caches
+// replaced, kept verbatim as the oracle of the differential test below. The
+// buckets, add(), decay and clear() are the histogram's own; cdf() re-sums
+// every bucket below x and quantile() scans from bucket 0 on every call.
+class ScanHistogram {
+ public:
+  explicit ScanHistogram(StreamingHistogramOptions options)
+      : options_(options) {
+    log_min_ = std::log(options_.min_value);
+    const double per_ln = static_cast<double>(options_.buckets_per_decade) /
+                          std::log(10.0);
+    inv_log_width_ = per_ln;
+    const double span = std::log(options_.max_value) - log_min_;
+    const auto finite = static_cast<std::size_t>(std::ceil(span * per_ln));
+    weights_.assign(finite + 1, 0.0);
+  }
+
+  std::size_t buckets() const { return weights_.size(); }
+
+  void add(double x) {
+    weights_[bucket_index(x)] += 1.0;
+    total_ += 1.0;
+    if (options_.decay_every != 0 && ++since_decay_ >= options_.decay_every) {
+      since_decay_ = 0;
+      for (auto& w : weights_) w *= options_.decay_factor;
+      total_ *= options_.decay_factor;
+    }
+  }
+
+  void clear() {
+    std::fill(weights_.begin(), weights_.end(), 0.0);
+    total_ = 0.0;
+    since_decay_ = 0;
+  }
+
+  double cdf(double x) const {
+    if (total_ <= 0.0) return 0.0;
+    if (x >= options_.max_value) return 1.0;
+    if (x <= options_.min_value) return 0.0;
+    const std::size_t idx = bucket_index(x);
+    double below = 0.0;
+    for (std::size_t i = 0; i < idx; ++i) below += weights_[i];
+    const double lo = bucket_lower(idx);
+    const double hi = bucket_upper(idx);
+    const double frac =
+        hi > lo ? (std::log(x) - std::log(lo)) / (std::log(hi) - std::log(lo))
+                : 1.0;
+    return (below + frac * weights_[idx]) / total_;
+  }
+
+  double quantile(double p) const {
+    if (total_ <= 0.0) return 0.0;
+    const double target = p * total_;
+    double cum = 0.0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      if (weights_[i] <= 0.0) continue;
+      if (cum + weights_[i] >= target) {
+        const double frac =
+            weights_[i] > 0.0
+                ? std::clamp((target - cum) / weights_[i], 0.0, 1.0)
+                : 1.0;
+        const double lo = std::log(bucket_lower(i));
+        const double hi = std::log(bucket_upper(i));
+        return std::min(options_.max_value, std::exp(lo + frac * (hi - lo)));
+      }
+      cum += weights_[i];
+    }
+    return options_.max_value;
+  }
+
+  double bucket_lower(std::size_t i) const {
+    return std::exp(log_min_ + static_cast<double>(i) / inv_log_width_);
+  }
+
+ private:
+  std::size_t bucket_index(double x) const {
+    if (!(x > options_.min_value)) return 0;
+    if (x >= options_.max_value) return weights_.size() - 1;
+    const double pos = (std::log(x) - log_min_) * inv_log_width_;
+    auto idx = static_cast<std::size_t>(pos);
+    return std::min(idx, weights_.size() - 2);
+  }
+  double bucket_upper(std::size_t i) const {
+    if (i + 1 >= weights_.size()) return options_.max_value;
+    return std::exp(log_min_ + static_cast<double>(i + 1) / inv_log_width_);
+  }
+
+  StreamingHistogramOptions options_;
+  double log_min_;
+  double inv_log_width_;
+  std::vector<double> weights_;
+  double total_ = 0.0;
+  std::uint64_t since_decay_ = 0;
+};
+
+TEST(StreamingHistogram, LookupsBitIdenticalToScanOracle) {
+  // Random add / decay / clear sequences, probed between operations so the
+  // prefix watermark is lowered, reset and re-extended from every position.
+  const StreamingHistogramOptions configs[] = {
+      {},  // defaults: 901 buckets, no decay
+      {.min_value = 1e-2, .max_value = 1e3, .buckets_per_decade = 50,
+       .decay_every = 97, .decay_factor = 0.5},
+      {.min_value = 1e-4, .max_value = 1e4, .buckets_per_decade = 200,
+       .decay_every = 31, .decay_factor = 0.3},
+  };
+  std::uint64_t probes = 0;
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+  const auto expect_same = [&](double got, double want, const char* what,
+                               double arg) {
+    ++probes;
+    if (std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want))
+      return;
+    if (mismatches++ == 0) {
+      std::ostringstream os;
+      os.precision(17);
+      os << what << "(" << arg << ") = " << got << ", scan gives " << want;
+      first_mismatch = os.str();
+    }
+  };
+  std::uint64_t seed = 71;
+  for (const StreamingHistogramOptions& opt : configs) {
+    StreamingHistogram h(opt);
+    ScanHistogram ref(opt);
+    Rng rng(seed++);
+    const double log_lo = std::log(opt.min_value) - 1.0;
+    const double log_hi = std::log(opt.max_value) + 1.0;
+    const auto probe = [&](const StreamingHistogram& hist) {
+      // On, just below and just above a random bucket edge (the edge values
+      // the lookups interpolate from), at and next to min and max, and at a
+      // random point.
+      const double edge = ref.bucket_lower(rng.uniform_index(ref.buckets()));
+      const double xs[] = {edge,
+                           std::nextafter(edge, 0.0),
+                           std::nextafter(edge, HUGE_VAL),
+                           opt.min_value,
+                           std::nextafter(opt.min_value, HUGE_VAL),
+                           opt.max_value,
+                           std::nextafter(opt.max_value, 0.0),
+                           std::exp(log_lo + (log_hi - log_lo) * rng.uniform())};
+      for (double x : xs) expect_same(hist.cdf(x), ref.cdf(x), "cdf", x);
+      for (double p : {0.0, 1.0, 5e-324, rng.uniform(), rng.uniform()})
+        expect_same(hist.quantile(p), ref.quantile(p), "quantile", p);
+    };
+    for (int step = 0; step < 40000; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.0005) {
+        h.clear();
+        ref.clear();
+      } else if (u < 0.75) {
+        // Runs of adds between probes, sometimes exactly on an edge.
+        const double x =
+            u < 0.05 ? ref.bucket_lower(rng.uniform_index(ref.buckets()))
+                     : std::exp(log_lo + (log_hi - log_lo) * rng.uniform());
+        h.add(x);
+        ref.add(x);
+      } else if (u < 0.995) {
+        probe(h);
+      } else {
+        // A materialised copy answers identically and stays independent.
+        StreamingHistogram copy = h;
+        copy.materialize();
+        probe(copy);
+        copy.add(1.0);
+      }
+    }
+  }
+  EXPECT_GT(probes, 300000u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 // ----------------------------------------------------------- moving window

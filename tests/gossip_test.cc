@@ -8,8 +8,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -113,6 +115,31 @@ TEST(GossipWire, DecodeRejectsImpossibleCounts) {
                    0xff, 0xff, 0xff, 0x7f}; // num_servers = 2^31 - 1
   net::GossipDeltaMsg decoded;
   EXPECT_FALSE(net::decode(frame, &decoded));
+
+  // More misses than dequeues: the admission window would fail a check on
+  // the dispatcher's net thread, so the frame must not decode.
+  const auto decodes = [](const net::GossipDeltaMsg& msg) {
+    const auto bytes = net::encode(msg);
+    net::FrameBuffer buf;
+    buf.append(bytes.data(), bytes.size());
+    net::GossipDeltaMsg out;
+    return net::decode(*buf.next(), &out);
+  };
+  net::GossipDeltaMsg counts = sample_delta();
+  counts.delta.dequeues_recorded = 4;
+  counts.delta.dequeues_missed = 5;
+  EXPECT_FALSE(decodes(counts));
+  counts.delta.dequeues_missed = 4;
+  EXPECT_TRUE(decodes(counts));
+
+  // A non-finite sample would poison the receiver's streaming model.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    net::GossipDeltaMsg samples = sample_delta();
+    samples.delta.servers.back().samples_ms.push_back(bad);
+    EXPECT_FALSE(decodes(samples)) << bad;
+  }
 }
 
 // ------------------------------------------------------- raw-socket client
@@ -128,6 +155,14 @@ class TestClient {
     pollfd p{fd_.get(), POLLOUT, 0};
     ::poll(&p, 1, 2000);
     return net::connect_finished(fd_.get());
+  }
+
+  /// Accepts one connection on `listener`, standing in for a daemon.
+  bool accept_from(int listener) {
+    pollfd p{listener, POLLIN, 0};
+    if (::poll(&p, 1, 5000) != 1) return false;
+    fd_ = net::ScopedFd(::accept(listener, nullptr, nullptr));
+    return fd_.valid() && net::set_nonblocking(fd_.get());
   }
 
   void send_bytes(const std::vector<std::uint8_t>& bytes) {
@@ -379,6 +414,90 @@ TEST(GossipE2E, ModelSyncBackfillStillCoversDisconnectedEras) {
   while (observations() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(5ms);
   EXPECT_GE(observations(), 1u);
+}
+
+TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
+  // A daemon (a raw socket here) gossips two deltas a dispatcher must not
+  // absorb: more misses than dequeues, which with admission on used to fail
+  // the admission window's check on the net thread and terminate the
+  // process, and a NaN sample, which would poison the server's model. Both
+  // are skipped like any malformed frame: the connection stays up, the
+  // next valid delta is absorbed and queries keep completing.
+  net::TaskServerOptions server_options;
+  server_options.num_classes = 1;
+  net::TaskServer real(server_options);
+
+  std::string error;
+  net::ScopedFd listener = net::listen_tcp(0, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  net::DispatcherOptions options =
+      one_server_options(net::local_port(listener.get()));
+  options.servers.push_back({"127.0.0.1", real.port()});
+  options.admission = AdmissionOptions{};
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> handshake_ok{false};
+  std::thread fake([&] {
+    TestClient daemon;
+    if (!daemon.accept_from(listener.get())) return;
+    if (!daemon.read_frame_of(net::MsgType::kHello)) return;
+    daemon.send_bytes(net::encode(net::HelloAckMsg{}));
+    daemon.send_bytes(net::encode(net::GossipHelloMsg{}));
+    handshake_ok = true;
+    net::GossipDeltaMsg bad_counts;
+    bad_counts.delta.seq = 1;
+    bad_counts.delta.dequeues_recorded = 1;
+    bad_counts.delta.dequeues_missed = 5;
+    daemon.send_bytes(net::encode(bad_counts));
+    net::GossipDeltaMsg nan_sample;
+    nan_sample.delta.seq = 2;
+    nan_sample.delta.servers.emplace_back().samples_ms = {
+        0.5, std::numeric_limits<double>::quiet_NaN()};
+    daemon.send_bytes(net::encode(nan_sample));
+    net::GossipDeltaMsg valid;
+    valid.delta.seq = 3;
+    valid.delta.dequeues_recorded = 2;
+    valid.delta.servers.emplace_back().samples_ms = {0.5};
+    daemon.send_bytes(net::encode(valid));
+    while (!stop) daemon.read_frame(50);
+  });
+  struct StopAndJoin {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~StopAndJoin() {
+      stop = true;
+      thread.join();
+    }
+  } stop_and_join{stop, fake};
+
+  {
+    net::RemoteDispatcher dispatcher(options);
+    ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (dispatcher.gossip_deltas_absorbed() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(5ms);
+    EXPECT_TRUE(handshake_ok);
+    EXPECT_EQ(dispatcher.gossip_deltas_absorbed(), 1u);
+    EXPECT_EQ(dispatcher.gossip_capable_servers(), 1u);
+    EXPECT_EQ(static_cast<const StreamingCdfModel&>(
+                  *dispatcher.server_model(0)).observations(),
+              1u);
+
+    std::vector<std::future<QueryResult>> futures;
+    for (int q = 0; q < 20; ++q) {
+      std::vector<net::RemoteTaskSpec> tasks(1);
+      tasks[0].server = 1;
+      tasks[0].simulated_service_ms = 0.1;
+      futures.push_back(dispatcher.submit(0, std::move(tasks)));
+    }
+    for (auto& f : futures) {
+      const QueryResult r = f.get();
+      EXPECT_TRUE(r.admitted);
+      EXPECT_EQ(r.tasks_failed, 0u);
+    }
+    EXPECT_EQ(dispatcher.alive_servers(), 2u);
+  }
 }
 
 }  // namespace

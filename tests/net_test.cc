@@ -11,11 +11,13 @@
 #include <chrono>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -202,6 +204,34 @@ TEST(Wire, DecodeRejectsTrailingGarbage) {
   frame.payload.push_back(0x00);
   net::TaskDoneMsg decoded;
   EXPECT_FALSE(net::decode(frame, &decoded));
+}
+
+TEST(Wire, DecodeRejectsNonFiniteTimes) {
+  // NaN or an infinity in any f64 field: a sample would poison a streaming
+  // model for good, and an infinite service time would overflow the
+  // daemon's sleep duration.
+  const auto decodes = [](const auto& msg) {
+    const auto bytes = net::encode(msg);
+    net::FrameBuffer buf;
+    buf.append(bytes.data(), bytes.size());
+    std::decay_t<decltype(msg)> out;
+    return net::decode(*buf.next(), &out);
+  };
+  const double max = std::numeric_limits<double>::max();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(decodes(net::SubmitTaskMsg{.relative_deadline_ms = bad}));
+    EXPECT_FALSE(decodes(net::SubmitTaskMsg{.simulated_service_ms = bad}));
+    EXPECT_FALSE(decodes(net::TaskDoneMsg{.queue_ms = bad}));
+    EXPECT_FALSE(decodes(net::TaskDoneMsg{.service_ms = bad}));
+    EXPECT_FALSE(decodes(net::ModelSyncMsg{.samples_ms = {1.0, bad}}));
+  }
+  // The largest finite values still decode.
+  EXPECT_TRUE(decodes(net::SubmitTaskMsg{.relative_deadline_ms = -max,
+                                         .simulated_service_ms = max}));
+  EXPECT_TRUE(decodes(net::TaskDoneMsg{.queue_ms = max, .service_ms = max}));
+  EXPECT_TRUE(decodes(net::ModelSyncMsg{.samples_ms = {max, -max}}));
 }
 
 TEST(Wire, UnknownMessageTypeIsSkippable) {
