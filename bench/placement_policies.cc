@@ -3,9 +3,9 @@
 // The paper's simulations place each query's tasks on distinct servers
 // chosen uniformly. The `uniform` row is that default: the simulator runs
 // the least_loaded kind as load-blind uniform distinct sampling (every
-// server is an equal candidate). This bench pits it against the two
-// informed policies (core/placement/policy.h) on the scenarios where
-// placement should matter:
+// server is an equal candidate). This bench pits it against pow_d
+// (core/placement/policy.h), which ranks a d-sample of candidates by live
+// queue depth, on the scenarios where placement should matter:
 //
 //   * heterogeneous speeds — a Masstree cluster where half the servers run
 //     1.6x slower (cluster_with_stragglers), so a load-blind placement
@@ -14,10 +14,9 @@
 //     Pareto (alpha = 1.7) clusters, where one straggling task is enough
 //     to blow a query's tail and queue depth is a noisy signal of it.
 //
-// Estimation is kOnlineStreaming: tail_risk ranks candidates by slack
-// histograms fed from live enqueues plus per-server service CDFs learned
-// from completions, so it needs the online pipeline (kExact never observes
-// post-queuing times). Every policy sees the same seed and load grid.
+// Estimation is kOnlineStreaming, so the Eq. 6 budgets come from per-server
+// CDFs learned from completions. Every policy sees the same seed and load
+// grid.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -107,9 +106,6 @@ int main(int argc, char** argv) {
     p.options.kind = PlacementPolicyKind::kPowerOfD;
     p.options.power_d = 3;
     policies.push_back(p);
-    p.name = "tail_risk";
-    p.options.kind = PlacementPolicyKind::kTailRisk;
-    policies.push_back(p);
   }
 
   for (const Scenario& scenario : make_scenarios(num_servers)) {
@@ -147,20 +143,10 @@ int main(int argc, char** argv) {
             .add("slo_ms", scenario.slo_ms)
             .add("placement_decisions",
                  static_cast<double>(r.placement_decisions))
-            .add("candidates_per_decision", cand_per_decision)
-            .add("mean_staleness_ms", r.placement_mean_staleness_ms);
+            .add("candidates_per_decision", cand_per_decision);
       }
     }
   }
 
-  bench::note(
-      "measured shape (see EXPERIMENTS.md): uniform placement is "
-      "load-blind, so both informed policies beat it on p99 everywhere it "
-      "is loaded — by 3-4x at load 0.7 on the straggler and Pareto "
-      "clusters; pow_d's d-sample queue-depth ranking is the strongest "
-      "overall (depth is a very direct risk signal here), while tail_risk "
-      "sits between the two: its slack-histogram ranking consistently "
-      "clears uniform but pays for scanning all n candidates and for "
-      "histogram staleness");
   return 0;
 }

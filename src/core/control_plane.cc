@@ -18,9 +18,6 @@ QueryControlPlane::QueryControlPlane(
   for (const ClassSpec& spec : options_.classes) estimator_.add_class(spec);
   per_class_.resize(options_.classes.size());
   if (options_.admission) admission_.emplace(*options_.admission);
-  if (options_.placement.kind == PlacementPolicyKind::kTailRisk)
-    slack_ = std::make_unique<SlackTracker>(estimator_.num_servers(),
-                                            options_.placement.slack_histogram);
 }
 
 bool QueryControlPlane::should_admit(TimeMs now) {
@@ -53,39 +50,6 @@ double QueryControlPlane::admission_miss_ratio(TimeMs now) {
   return admission_ ? admission_->miss_ratio(now) : 0.0;
 }
 
-void QueryControlPlane::place(std::vector<PlacementCandidate>& candidates,
-                              std::size_t count, ClassId cls, TimeMs now,
-                              std::vector<ServerId>& out) {
-  ++placement_stats_.decisions;
-  PlacementContext ctx;
-  ctx.now_ms = now;
-  if (slack_) {
-    ctx.slack = slack_.get();
-    // Budget hint for the risk score: Eq. 6 over the first min(count, n)
-    // candidates. The estimator memoises per (class, model multiset), so
-    // this is a cache hit on every homogeneous decision after the first.
-    budget_hint_servers_.clear();
-    const std::size_t hint_n = std::min(count, candidates.size());
-    for (std::size_t i = 0; i < hint_n; ++i)
-      budget_hint_servers_.push_back(candidates[i].second);
-    ctx.budget_hint_ms = estimator_.budget(cls, budget_hint_servers_);
-    double age_sum_ms = 0.0;
-    std::size_t with_data = 0;
-    for (const auto& [load, server] : candidates) {
-      if (slack_->slack_observations(server) == 0) continue;
-      age_sum_ms += now - slack_->last_update_ms(server);
-      ++with_data;
-    }
-    if (with_data > 0) {
-      placement_stats_.slack_staleness_ms_sum +=
-          age_sum_ms / static_cast<double>(with_data);
-      ++placement_stats_.decisions_with_slack;
-    }
-  }
-  placement_stats_.candidates_considered +=
-      placement_policy_->place(candidates, count, ctx, rng_, out);
-}
-
 TimeMs QueryControlPlane::budget(ClassId cls,
                                  std::span<const ServerId> servers) {
   return estimator_.budget(cls, servers);
@@ -116,12 +80,6 @@ QueryPlan QueryControlPlane::begin_query(TimeMs t0, ClassId cls,
       break;
   }
   plan.id = tracker_.begin_query(t0, cls, plan.fanout, plan.tail_deadline);
-  if (slack_) {
-    // One slack sample per placed task: at enqueue, t_D − now is exactly
-    // the budget. This is the distribution the tail-risk policy reads.
-    for (const ServerId server : servers)
-      slack_->record_enqueue(server, plan.budget_ms, t0);
-  }
   return plan;
 }
 
@@ -134,7 +92,6 @@ void QueryControlPlane::absorb_remote_dequeues(TimeMs now,
 void QueryControlPlane::observe_post_queuing(ServerId server,
                                              TimeMs post_queuing_ms) {
   estimator_.observe_post_queuing(server, post_queuing_ms);
-  if (slack_) slack_->record_service(server, post_queuing_ms);
 }
 
 const ClassSpec& QueryControlPlane::class_spec(ClassId cls) const {

@@ -25,9 +25,7 @@
 #include "common/rng.h"
 #include "core/admission.h"
 #include "core/deadline.h"
-#include "core/placement.h"
 #include "core/placement/policy.h"
-#include "core/placement/slack_tracker.h"
 #include "core/query_tracker.h"
 
 namespace tailguard {
@@ -72,17 +70,12 @@ struct QueryPlan {
 };
 
 /// Placement observability: per-decision counters so benches can correlate
-/// policy choice and histogram staleness with placement quality.
+/// policy choice with placement cost.
 struct PlacementStats {
   std::uint64_t decisions = 0;
   /// Candidates the policy actually examined (pow_d looks at d per pick,
-  /// the full-scan policies at all n per decision).
+  /// least_loaded at all n per decision).
   std::uint64_t candidates_considered = 0;
-  /// tail_risk only: sum over decisions of the mean age (now − last slack
-  /// observation) across candidates that had slack data, plus how many
-  /// decisions had any. Mean staleness = sum / decisions_with_slack.
-  double slack_staleness_ms_sum = 0.0;
-  std::uint64_t decisions_with_slack = 0;
 };
 
 /// Per-class completion/miss tallies, maintained by complete_task and
@@ -127,20 +120,21 @@ class QueryControlPlane {
 
   /// Picks `count` servers from `candidates` under the configured placement
   /// policy, drawing randomness from the control plane's Rng (see
-  /// core/placement/policy.h for the per-policy contracts; the default
-  /// least_loaded is bit-identical to the former hardcoded pick). `cls` and
-  /// `now` feed the tail-risk policy's budget hint and staleness accounting;
-  /// the other policies ignore them. The picks replace the contents of
-  /// `out`; `candidates` is scratch the policy may reorder. A caller that
-  /// reuses both vectors across decisions places without allocating.
+  /// core/placement/policy.h for the per-policy contracts). The picks
+  /// replace the contents of `out`; `candidates` is scratch the policy may
+  /// reorder. A caller that reuses both vectors across decisions places
+  /// without allocating.
   void place(std::vector<PlacementCandidate>& candidates, std::size_t count,
-             ClassId cls, TimeMs now, std::vector<ServerId>& out);
+             std::vector<ServerId>& out) {
+    ++placement_stats_.decisions;
+    placement_stats_.candidates_considered +=
+        placement_policy_->place(candidates, count, rng_, out);
+  }
   /// The same decision, returned in a new vector.
   std::vector<ServerId> place(std::vector<PlacementCandidate> candidates,
-                              std::size_t count, ClassId cls = 0,
-                              TimeMs now = 0.0) {
+                              std::size_t count) {
     std::vector<ServerId> out;
-    place(candidates, count, cls, now, out);
+    place(candidates, count, out);
     return out;
   }
 
@@ -148,19 +142,6 @@ class QueryControlPlane {
     return placement_policy_->kind();
   }
   const PlacementStats& placement_stats() const { return placement_stats_; }
-
-  /// Whether this plane tracks per-server slack histograms (tail_risk only).
-  bool slack_tracking_enabled() const { return slack_ != nullptr; }
-
-  /// Merges one remote slack observation (a peer shard's enqueue, shipped
-  /// via delta-sync) into `server`'s slack histogram. No-op unless slack
-  /// tracking is enabled.
-  void observe_slack(ServerId server, double slack_ms, TimeMs now) {
-    if (slack_) slack_->record_enqueue(server, slack_ms, now);
-  }
-
-  /// The slack tracker, or nullptr outside tail_risk (tests/benches).
-  const SlackTracker* slack_tracker() const { return slack_.get(); }
 
   // --- Deadlines & query lifecycle ---------------------------------------
 
@@ -248,11 +229,7 @@ class QueryControlPlane {
   std::optional<AdmissionController> admission_;
   Rng rng_;
   std::unique_ptr<PlacementPolicy> placement_policy_;
-  /// Allocated only under tail_risk; nullptr keeps the default path free of
-  /// per-enqueue histogram work.
-  std::unique_ptr<SlackTracker> slack_;
   PlacementStats placement_stats_;
-  std::vector<ServerId> budget_hint_servers_;  // place() scratch
   std::vector<ClassAccounting> per_class_;
   std::uint64_t queries_admitted_ = 0;
   std::uint64_t queries_rejected_ = 0;

@@ -7,7 +7,6 @@
 #include <cerrno>
 
 #include "common/check.h"
-#include "core/placement.h"
 
 namespace tailguard::net {
 
@@ -28,8 +27,7 @@ ControlPlaneOptions make_control_plane_options(
   cp.policy = options.policy;
   cp.classes = options.classes;
   cp.admission = options.admission;
-  cp.placement =
-      options.placement ? *options.placement : placement_from_env();
+  cp.placement = options.placement;
   cp.seed = options.seed;
   return cp;
 }
@@ -153,8 +151,8 @@ std::future<QueryResult> RemoteDispatcher::submit(
       if (alive.empty()) {
         for (std::size_t i : unassigned) failed_at_submit[i] = true;
       } else {
-        const auto picked = control_.place(
-            /*shard=*/0, std::move(alive), unassigned.size(), cls, t0);
+        const auto picked =
+            control_.place(/*shard=*/0, std::move(alive), unassigned.size());
         for (std::size_t j = 0; j < unassigned.size(); ++j)
           placement[unassigned[j]] = picked[j];
       }

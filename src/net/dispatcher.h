@@ -78,11 +78,9 @@ struct DispatcherOptions {
   std::optional<AdmissionOptions> admission;
   std::uint64_t seed = 42;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
-  /// Unset resolves from the environment (TAILGUARD_PLACEMENT /
-  /// TAILGUARD_PLACEMENT_D), defaulting to least_loaded. Candidates are the
-  /// alive servers ranked by our in-flight count plus the daemon's last
-  /// gossiped queue-depth gauge, whatever the policy.
-  std::optional<PlacementPolicyOptions> placement;
+  /// Candidates are the alive servers ranked by our in-flight count plus the
+  /// daemon's last gossiped queue-depth gauge, whatever the policy.
+  PlacementPolicyOptions placement;
   /// Observer called once per submitted (admitted) query with the servers
   /// its tasks landed on (explicit targets included), in task order. Runs
   /// under the dispatcher lock — keep it cheap. Purely observational, for

@@ -124,10 +124,7 @@ struct GossipHelloMsg {
 /// One shard/state_sync.h ShardDelta on the wire: incremental CDF samples,
 /// admission-window increments, and load gauges accumulated since the
 /// sender's previous delta. Sample times are relative durations (ms), like
-/// every other time on the wire. ServerEntry's slack-sample fields are
-/// deliberately NOT serialized: task-server daemons never place tasks, so
-/// shipping placement-only state to them would be dead weight. Slack deltas
-/// travel only over the in-process StateSyncBus between handler shards.
+/// every other time on the wire.
 struct GossipDeltaMsg {
   ShardDelta delta;
 

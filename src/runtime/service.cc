@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/check.h"
-#include "core/placement.h"
 
 namespace tailguard {
 
@@ -24,8 +23,7 @@ ControlPlaneOptions make_control_plane_options(const ServiceOptions& options) {
   cp.policy = options.policy;
   cp.classes = options.classes;
   cp.admission = options.admission;
-  cp.placement =
-      options.placement ? *options.placement : placement_from_env();
+  cp.placement = options.placement;
   cp.seed = options.seed;
   return cp;
 }
@@ -104,21 +102,14 @@ void TailGuardService::seed_profile(std::span<const double> samples_ms) {
 }
 
 std::vector<ServerId> TailGuardService::pick_workers(std::uint32_t shard,
-                                                     std::size_t count,
-                                                     ClassId cls, TimeMs now) {
+                                                     std::size_t count) {
   TG_CHECK_MSG(count <= workers_.size(),
                "query fanout " << count << " exceeds worker count "
                                << workers_.size());
   std::vector<PlacementCandidate> load;
   load.reserve(workers_.size());
   for (const auto& w : workers_) load.emplace_back(w->queue_depth(), w->id());
-  if (control_.sync_enabled()) {
-    // Ship this shard's current load view in the next delta (gauges).
-    for (const auto& [depth, id] : load)
-      control_.update_local_load(shard, id,
-                                 static_cast<std::uint32_t>(depth));
-  }
-  return control_.place(shard, std::move(load), count, cls, now);
+  return control_.place(shard, std::move(load), count);
 }
 
 std::future<QueryResult> TailGuardService::submit(
@@ -145,8 +136,21 @@ std::future<QueryResult> TailGuardService::submit(
     Shard& sh = *shards_[shard];
     MutexLock lock(sh.mu);
 
+    // Admission decision (paper §III.C) comes first: a rejected query costs
+    // no placement work.
+    if (!control_.should_admit(shard, t0)) {
+      control_.count_rejected(shard);
+      QueryResult r;
+      r.cls = cls;
+      r.fanout = static_cast<std::uint32_t>(tasks.size());
+      r.admitted = false;
+      promise.set_value(r);
+      return future;
+    }
+    control_.count_admitted(shard);
+
     // Placement: explicit workers are honoured; the rest go to the
-    // least-loaded workers, distinct where possible.
+    // policy's picks, distinct where possible.
     std::vector<std::size_t> unassigned;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       if (tasks[i].worker) {
@@ -158,23 +162,11 @@ std::future<QueryResult> TailGuardService::submit(
       }
     }
     if (!unassigned.empty()) {
-      const auto picked = pick_workers(shard, unassigned.size(), cls, t0);
+      const auto picked = pick_workers(shard, unassigned.size());
       for (std::size_t j = 0; j < unassigned.size(); ++j)
         placement[unassigned[j]] = picked[j];
     }
     if (options_.placement_observer) options_.placement_observer(placement);
-
-    // Admission decision (paper §III.C).
-    if (!control_.should_admit(shard, t0)) {
-      control_.count_rejected(shard);
-      QueryResult r;
-      r.cls = cls;
-      r.fanout = static_cast<std::uint32_t>(tasks.size());
-      r.admitted = false;
-      promise.set_value(r);
-      return future;
-    }
-    control_.count_admitted(shard);
 
     // Budget (Eq. 6, or the caller-imposed Eq. 7 override), t_D and the
     // ordering key all come from the control plane.

@@ -53,22 +53,19 @@ struct ServiceOptions {
   std::uint64_t seed = 42;
   /// Query-handler sharding (src/shard): submissions are routed across this
   /// many control-plane replicas, each behind its own mutex, with periodic
-  /// delta-sync of models/admission/load state. 1 (the default) preserves
-  /// the single-handler behaviour exactly.
+  /// delta-sync of model and admission state. 1 (the default) preserves the
+  /// single-handler behaviour exactly.
   std::uint32_t num_handler_shards = 1;
   /// Delta-sync period (service-clock ms); <= 0 disables sync.
   TimeMs shard_sync_interval_ms = 0.0;
   /// Round-robin keeps concurrent submitters evenly spread by default.
   RouterKind shard_router = RouterKind::kRoundRobin;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
-  /// Unset resolves from the environment (TAILGUARD_PLACEMENT /
-  /// TAILGUARD_PLACEMENT_D), defaulting to least_loaded — the pre-policy
-  /// behaviour, bit-for-bit.
-  std::optional<PlacementPolicyOptions> placement;
-  /// Observer called once per submitted query with the workers its tasks
-  /// landed on (explicit targets included), in task order, before the
-  /// admission decision. Runs under the shard lock — keep it cheap. Purely
-  /// observational, for the cross-backend placement parity tests.
+  PlacementPolicyOptions placement;
+  /// Observer called once per admitted query with the workers its tasks
+  /// landed on (explicit targets included), in task order. Runs under the
+  /// shard lock — keep it cheap. Purely observational, for the
+  /// cross-backend placement parity tests.
   std::function<void(std::span<const ServerId>)> placement_observer;
 };
 
@@ -161,8 +158,7 @@ class TailGuardService {
   /// Caller must hold the submitting shard's mutex (which one is a runtime
   /// value, so the requirement is not expressible as a TSA capability —
   /// control_ state is per-shard as documented on Shard).
-  std::vector<ServerId> pick_workers(std::uint32_t shard, std::size_t count,
-                                     ClassId cls, TimeMs now);
+  std::vector<ServerId> pick_workers(std::uint32_t shard, std::size_t count);
   /// N-ary ordered acquisition through a dynamic container: inherently
   /// outside TSA's static capability model, like std::lock. unique_lock
   /// works on the annotated Mutex (a Lockable); the std header is simply

@@ -50,16 +50,9 @@ ShardedControlPlane::ShardedControlPlane(
   for (PendingDelta& p : pending_) {
     p.samples.resize(num_servers_);
     p.dropped.assign(num_servers_, 0);
-    p.load.assign(num_servers_, 0);
-    p.has_load.assign(num_servers_, 0);
-    p.slack.resize(num_servers_);
-    p.slack_dropped.assign(num_servers_, 0);
   }
   next_seq_.assign(num_shards_, 1);
   dedup_.resize(num_shards_);
-  remote_load_.assign(num_shards_, std::vector<std::uint32_t>(
-                                       std::size_t{num_shards_} * num_servers_,
-                                       ~std::uint32_t{0}));
   next_sync_ms_ = accumulate_ ? sharding_.sync_interval_ms : 0.0;
 }
 
@@ -68,21 +61,6 @@ void ShardedControlPlane::accumulate_dequeue(std::uint32_t shard,
   PendingDelta& p = pending_[shard];
   ++p.recorded;
   if (missed) ++p.missed;
-  p.any = true;
-}
-
-void ShardedControlPlane::accumulate_slack(std::uint32_t shard,
-                                           std::span<const ServerId> servers,
-                                           TimeMs budget_ms) {
-  PendingDelta& p = pending_[shard];
-  for (const ServerId server : servers) {
-    std::vector<double>& buf = p.slack[server];
-    if (buf.size() < kMaxPendingPerServer) {
-      buf.push_back(budget_ms);
-    } else {
-      ++p.slack_dropped[server];
-    }
-  }
   p.any = true;
 }
 
@@ -102,16 +80,6 @@ void ShardedControlPlane::observe_post_queuing_on(std::uint32_t shard,
   }
 }
 
-void ShardedControlPlane::update_local_load(std::uint32_t shard,
-                                            ServerId server,
-                                            std::uint32_t load) {
-  if (!accumulate_) return;
-  PendingDelta& p = pending_[shard];
-  p.load[server] = load;
-  p.has_load[server] = 1;
-  p.any = true;
-}
-
 void ShardedControlPlane::seed_profile(ServerId server,
                                        std::span<const double> sample) {
   for (const std::unique_ptr<QueryControlPlane>& plane : shards_) {
@@ -127,41 +95,27 @@ ShardDelta ShardedControlPlane::collect_delta(std::uint32_t shard) {
   delta.dequeues_recorded = p.recorded;
   delta.dequeues_missed = p.missed;
   const std::size_t cap = sharding_.max_sync_samples_per_server;
-  // Deterministic thinning to the per-server cap: an evenly-strided subset
-  // of the buffer, counting what the stride lost. Samples are copied out,
-  // never moved, so the pending buffer keeps its capacity for the next round.
-  const auto thin = [cap](std::vector<double>& buf, std::vector<double>& out,
-                          std::uint64_t& dropped) {
-    if (cap > 0 && buf.size() > cap) {
-      out.reserve(cap);
-      for (std::size_t i = 0; i < cap; ++i) {
-        out.push_back(buf[i * buf.size() / cap]);
-      }
-      dropped += buf.size() - cap;
-    } else {
-      out.assign(buf.begin(), buf.end());
-    }
-    buf.clear();
-  };
   for (std::size_t s = 0; s < num_servers_; ++s) {
     std::vector<double>& buf = p.samples[s];
-    std::vector<double>& slack_buf = p.slack[s];
-    if (buf.empty() && p.dropped[s] == 0 && !p.has_load[s] &&
-        slack_buf.empty() && p.slack_dropped[s] == 0) {
-      continue;
-    }
+    if (buf.empty() && p.dropped[s] == 0) continue;
     ShardDelta::ServerEntry entry;
     entry.server = static_cast<ServerId>(s);
     entry.samples_dropped = p.dropped[s];
-    thin(buf, entry.samples_ms, entry.samples_dropped);
-    entry.slack_dropped = p.slack_dropped[s];
-    thin(slack_buf, entry.slack_samples_ms, entry.slack_dropped);
-    entry.load_estimate = p.load[s];
-    entry.has_load = p.has_load[s] != 0;
+    // Deterministic thinning to the per-server cap: an evenly-strided subset
+    // of the buffer, counting what the stride lost. Samples are copied out,
+    // never moved, so the pending buffer keeps its capacity for the next
+    // round.
+    if (cap > 0 && buf.size() > cap) {
+      entry.samples_ms.reserve(cap);
+      for (std::size_t i = 0; i < cap; ++i)
+        entry.samples_ms.push_back(buf[i * buf.size() / cap]);
+      entry.samples_dropped += buf.size() - cap;
+    } else {
+      entry.samples_ms.assign(buf.begin(), buf.end());
+    }
+    buf.clear();
     delta.servers.push_back(std::move(entry));
     p.dropped[s] = 0;
-    p.slack_dropped[s] = 0;
-    p.has_load[s] = 0;
   }
   p.recorded = 0;
   p.missed = 0;
@@ -177,45 +131,19 @@ bool ShardedControlPlane::absorb_remote_delta(std::uint32_t shard,
     return false;
   }
   QueryControlPlane& plane = *shards_[shard];
-  std::vector<std::uint32_t>& loads = remote_load_[shard];
   for (const ShardDelta::ServerEntry& entry : delta.servers) {
     // Feed the replica directly: absorbed samples must not re-enter this
     // shard's pending delta or every round would re-broadcast them.
     for (double s : entry.samples_ms) {
       plane.observe_post_queuing(entry.server, s);
     }
-    if (entry.has_load) {
-      loads[std::size_t{delta.origin} * num_servers_ + entry.server] =
-          entry.load_estimate;
-    }
-    // Remote slack samples merge into the replica's tracker directly (same
-    // no-echo rule as CDF samples above). Aged as of `now`: the delta does
-    // not carry per-sample timestamps, and a sync interval of staleness is
-    // exactly what the staleness counters should show.
-    for (double slack_ms : entry.slack_samples_ms) {
-      plane.observe_slack(entry.server, slack_ms, now);
-    }
     stats_.samples_shipped += entry.samples_ms.size();
     stats_.samples_dropped += entry.samples_dropped;
-    stats_.slack_samples_shipped += entry.slack_samples_ms.size();
-    stats_.slack_samples_dropped += entry.slack_dropped;
   }
   plane.absorb_remote_dequeues(now, delta.dequeues_recorded,
                                delta.dequeues_missed);
   ++stats_.deltas_absorbed;
   return true;
-}
-
-std::uint32_t ShardedControlPlane::remote_load_sum(std::uint32_t shard,
-                                                   ServerId server) const {
-  std::uint32_t sum = 0;
-  const std::vector<std::uint32_t>& loads = remote_load_[shard];
-  for (std::uint32_t origin = 0; origin < num_shards_; ++origin) {
-    if (origin == shard) continue;
-    const std::uint32_t v = loads[std::size_t{origin} * num_servers_ + server];
-    if (v != ~std::uint32_t{0}) sum += v;
-  }
-  return sum;
 }
 
 void ShardedControlPlane::run_sync_round(TimeMs now) {
@@ -302,8 +230,6 @@ PlacementStats ShardedControlPlane::placement_stats() const {
     const PlacementStats& p = s->placement_stats();
     sum.decisions += p.decisions;
     sum.candidates_considered += p.candidates_considered;
-    sum.slack_staleness_ms_sum += p.slack_staleness_ms_sum;
-    sum.decisions_with_slack += p.decisions_with_slack;
   }
   return sum;
 }

@@ -1,7 +1,7 @@
 // N query-handler shards, each owning a private QueryControlPlane replica,
 // behind one facade — plus the periodic delta-sync that keeps the replicas'
-// views of per-server CDF models, admission windows and load estimates from
-// drifting apart forever.
+// views of per-server CDF models and admission windows from drifting apart
+// forever.
 //
 // Identity scheme: shard i of N allocates query ids i, i+N, i+2N, ... (the
 // QueryTracker stride form), so ids are globally unique and `id % N` recovers
@@ -115,15 +115,14 @@ class ShardedControlPlane {
   /// PlacementPolicyOptions; see QueryControlPlane::place for the
   /// out-parameter contract).
   void place(std::uint32_t shard, std::vector<PlacementCandidate>& candidates,
-             std::size_t count, ClassId cls, TimeMs now,
-             std::vector<ServerId>& out) {
-    shards_[shard]->place(candidates, count, cls, now, out);
+             std::size_t count, std::vector<ServerId>& out) {
+    shards_[shard]->place(candidates, count, out);
   }
+  /// The trailing ClassId / TimeMs are unused: bench/e2e's replay passes them.
   std::vector<ServerId> place(std::uint32_t shard,
                               std::vector<PlacementCandidate> candidates,
-                              std::size_t count, ClassId cls = 0,
-                              TimeMs now = 0.0) {
-    return shards_[shard]->place(std::move(candidates), count, cls, now);
+                              std::size_t count, ClassId = 0, TimeMs = 0.0) {
+    return shards_[shard]->place(std::move(candidates), count);
   }
 
   PlacementPolicyKind placement_kind() const {
@@ -141,14 +140,8 @@ class ShardedControlPlane {
                         std::span<const ServerId> servers,
                         std::optional<TimeMs> budget_override = std::nullopt,
                         std::optional<TimeMs> order_slo_ms = std::nullopt) {
-    const QueryPlan plan = shards_[shard]->begin_query(
-        t0, cls, servers, budget_override, order_slo_ms);
-    // Under tail_risk, each enqueue's slack sample (= the plan budget) also
-    // rides the next delta so peer shards' risk views track this shard's
-    // queue composition, exactly like CDF samples.
-    if (accumulate_ && shards_[shard]->slack_tracking_enabled())
-      accumulate_slack(shard, servers, plan.budget_ms);
-    return plan;
+    return shards_[shard]->begin_query(t0, cls, servers, budget_override,
+                                       order_slo_ms);
   }
 
   /// Capacity hint: about `queries_per_shard` begin_query calls and
@@ -183,11 +176,6 @@ class ShardedControlPlane {
   }
   void observe_post_queuing_on(std::uint32_t shard, ServerId server,
                                TimeMs post_ms);
-
-  /// Last-writer-wins load gauge for `server` as seen by `shard`; shipped in
-  /// the next delta. No-op unless sync is enabled.
-  void update_local_load(std::uint32_t shard, ServerId server,
-                         std::uint32_t load);
 
   /// Seeds every shard's model of `server` with an offline profile sample.
   /// Bypasses delta accumulation: the profile is distributed out-of-band,
@@ -233,9 +221,6 @@ class ShardedControlPlane {
     shards_[shard]->absorb_remote_dequeues(now, recorded, missed);
   }
 
-  /// Sum of the last load gauges received from other shards for `server`.
-  std::uint32_t remote_load_sum(std::uint32_t shard, ServerId server) const;
-
   struct SyncStats {
     std::uint64_t rounds = 0;
     std::uint64_t deltas_published = 0;
@@ -243,8 +228,6 @@ class ShardedControlPlane {
     std::uint64_t duplicates_dropped = 0;
     std::uint64_t samples_shipped = 0;
     std::uint64_t samples_dropped = 0;
-    std::uint64_t slack_samples_shipped = 0;
-    std::uint64_t slack_samples_dropped = 0;
   };
   const SyncStats& sync_stats() const { return stats_; }
 
@@ -276,10 +259,6 @@ class ShardedControlPlane {
   struct PendingDelta {
     std::vector<std::vector<double>> samples;  ///< server -> new samples
     std::vector<std::uint64_t> dropped;
-    std::vector<std::uint32_t> load;
-    std::vector<std::uint8_t> has_load;
-    std::vector<std::vector<double>> slack;  ///< server -> new slack samples
-    std::vector<std::uint64_t> slack_dropped;
     std::uint64_t recorded = 0;
     std::uint64_t missed = 0;
     bool any = false;
@@ -287,8 +266,6 @@ class ShardedControlPlane {
   static constexpr std::size_t kMaxPendingPerServer = 4096;
 
   void accumulate_dequeue(std::uint32_t shard, bool missed);
-  void accumulate_slack(std::uint32_t shard, std::span<const ServerId> servers,
-                        TimeMs budget_ms);
   void run_sync_round(TimeMs now);
   void rearm_after(TimeMs now);
 
@@ -301,8 +278,6 @@ class ShardedControlPlane {
   std::vector<PendingDelta> pending_;
   std::vector<std::uint64_t> next_seq_;
   std::vector<DeltaDedup> dedup_;
-  /// remote_load_[shard][origin * num_servers + server], ~0u = never seen.
-  std::vector<std::vector<std::uint32_t>> remote_load_;
   StateSyncBus bus_;
   TimeMs next_sync_ms_ = 0.0;
   SyncStats stats_;

@@ -2,14 +2,15 @@
 //
 // Each shard accumulates, since its previous sync round, a ShardDelta of
 //   * per-server post-queuing-time samples (feed the streaming CDF models),
-//   * per-server load estimates (last-writer-wins gauges),
 //   * admission miss-window increments (dequeues recorded / missed).
 // Sample and dequeue fields are *increments*, never snapshots: a receiver
 // merges them by applying them once, so replaying the stream cannot
-// double-count. Load estimates are gauges and overwrite. Every delta carries
-// (origin, seq) with seq strictly increasing per origin; receivers drop
-// seq <= last-seen via DeltaDedup, which makes redelivery (wire retransmit,
-// duplicated broadcast) harmless.
+// double-count. Task-server daemons send the same struct to dispatchers with
+// one more field per server, a last-writer-wins queue-depth gauge, which
+// overwrites instead of adding (in-process shards leave it unset). Every
+// delta carries (origin, seq) with seq strictly increasing per origin;
+// receivers drop seq <= last-seen via DeltaDedup, which makes redelivery
+// (wire retransmit, duplicated broadcast) harmless.
 //
 // The in-process StateSyncBus is a plain mailbox fabric — publish copies the
 // delta into every other shard's inbox in shard order, drain empties an
@@ -40,17 +41,12 @@ struct ShardDelta {
     /// thinned to a cap; `samples_dropped` counts what the thinning lost.
     std::vector<double> samples_ms;
     std::uint64_t samples_dropped = 0;
-    /// Last-known local load (in-flight tasks) on this server, valid only
-    /// when has_load. A gauge: receivers overwrite, never add.
+    /// The sending daemon's queue depth on this server, valid only when
+    /// has_load. A gauge: receivers overwrite, never add. Filled only on the
+    /// wire (daemon -> dispatcher GossipDelta); the dispatcher folds it into
+    /// its placement candidates' loads.
     std::uint32_t load_estimate = 0;
     bool has_load = false;
-    /// Enqueue-time slack observations (t_D − enqueue time) for tail-risk
-    /// placement, same increment semantics and thinning as samples_ms.
-    /// In-process StateSyncBus only: the wire GossipDeltaMsg deliberately
-    /// does not carry them — daemons never place tasks, so shipping their
-    /// slack view would be dead weight on every gossip frame.
-    std::vector<double> slack_samples_ms;
-    std::uint64_t slack_dropped = 0;
 
     friend bool operator==(const ServerEntry&, const ServerEntry&) = default;
   };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 
 #include "common/alloc_probe.h"
@@ -172,41 +170,6 @@ std::vector<std::shared_ptr<CdfModel>> build_models(
   return result;
 }
 
-// Environment fallback for SimConfig::sharding.
-ShardingOptions sharding_from_env() {
-  ShardingOptions opts;
-  if (const char* env = std::getenv("TAILGUARD_SHARDS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    TG_CHECK_MSG(end != env && *end == '\0' && n >= 1,
-                 "TAILGUARD_SHARDS must be a positive integer, got '" << env
-                                                                     << "'");
-    opts.num_shards = static_cast<std::uint32_t>(n);
-  }
-  if (const char* env = std::getenv("TAILGUARD_SHARD_SYNC_MS")) {
-    char* end = nullptr;
-    const double ms = std::strtod(env, &end);
-    TG_CHECK_MSG(end != env && *end == '\0' && ms >= 0.0,
-                 "TAILGUARD_SHARD_SYNC_MS must be a non-negative number, "
-                 "got '" << env << "'");
-    opts.sync_interval_ms = ms;
-  }
-  if (const char* env = std::getenv("TAILGUARD_SHARD_ROUTER")) {
-    if (std::strcmp(env, "hash") == 0) {
-      opts.router = RouterKind::kHash;
-    } else if (std::strcmp(env, "round-robin") == 0) {
-      opts.router = RouterKind::kRoundRobin;
-    } else if (std::strcmp(env, "class-affinity") == 0) {
-      opts.router = RouterKind::kClassAffinity;
-    } else {
-      TG_CHECK_MSG(false, "TAILGUARD_SHARD_ROUTER must be 'hash', "
-                          "'round-robin' or 'class-affinity', got '"
-                              << env << "'");
-    }
-  }
-  return opts;
-}
-
 }  // namespace
 
 double expected_work_per_query(const SimConfig& config) {
@@ -318,10 +281,9 @@ SimResult run_simulation(const SimConfig& config) {
   // event-driven execution backend around it. Sharded: N replicas behind the
   // facade, queries routed by arrival index, delta-sync at simulated-time
   // interval boundaries (a single shard is the transparent default).
-  const ShardingOptions sharding =
-      config.sharding ? *config.sharding : sharding_from_env();
+  const ShardingOptions sharding = config.sharding.value_or(ShardingOptions{});
   const PlacementPolicyOptions placement_opts =
-      config.placement_policy ? *config.placement_policy : placement_from_env();
+      config.placement_policy.value_or(PlacementPolicyOptions{});
   ControlPlaneOptions cp_options;
   cp_options.policy = config.policy;
   cp_options.classes = config.classes;
@@ -530,8 +492,8 @@ SimResult run_simulation(const SimConfig& config) {
       TG_DCHECK(chosen.size() == kf);
       placed = chosen;
     } else if (informed_placement) {
-      // pow_d / tail_risk: live queue depths (queued + in service) as the
-      // candidate loads, decided by the shard's policy. Each decision costs
+      // pow_d: live queue depths (queued + in service) as the candidate
+      // loads, decided by the shard's policy. Each decision costs
       // an O(n) candidate build; both the candidates and the picks reuse
       // run-long scratch, so this path allocates nothing either.
       TG_CHECK_MSG(kf <= servers.size(),
@@ -543,7 +505,7 @@ SimResult run_simulation(const SimConfig& config) {
             servers[s].queue_len + (servers[s].busy ? 1 : 0),
             static_cast<ServerId>(s));
       }
-      control.place(shard, cand_scratch, kf, cls, t, chosen);
+      control.place(shard, cand_scratch, kf, chosen);
       placed = chosen;
     } else {
       default_placement(rng, cls, kf);
@@ -818,18 +780,11 @@ SimResult run_simulation(const SimConfig& config) {
   result.shards = control.num_shards();
   result.shard_sync_rounds = control.sync_stats().rounds;
   result.shard_samples_shipped = control.sync_stats().samples_shipped;
-  result.shard_slack_samples_shipped =
-      control.sync_stats().slack_samples_shipped;
   result.placement_kind = control.placement_kind();
   {
     const PlacementStats pstats = control.placement_stats();
     result.placement_decisions = pstats.decisions;
     result.placement_candidates_considered = pstats.candidates_considered;
-    result.placement_mean_staleness_ms =
-        pstats.decisions_with_slack > 0
-            ? pstats.slack_staleness_ms_sum /
-                  static_cast<double>(pstats.decisions_with_slack)
-            : 0.0;
   }
 
   double busy_total = 0.0;

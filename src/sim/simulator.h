@@ -132,12 +132,9 @@ struct SimConfig {
   std::optional<AdmissionOptions> admission;
 
   /// Query-handler sharding: N ShardedControlPlane replicas with periodic
-  /// delta-sync (src/shard). Unset resolves from the environment —
-  /// TAILGUARD_SHARDS, TAILGUARD_SHARD_SYNC_MS, TAILGUARD_SHARD_ROUTER
-  /// (hash|round-robin|class-affinity) — defaulting to a single shard, so
-  /// whole-figure runs can be A/B'd from the shell. One shard with sync
-  /// disabled is bit-identical to the unsharded control plane (the parity
-  /// invariant).
+  /// delta-sync (src/shard). Unset means default ShardingOptions: a single
+  /// shard with sync disabled, which is bit-identical to the unsharded
+  /// control plane (the parity invariant).
   std::optional<ShardingOptions> sharding;
 
   /// Request mode (paper §III.B remark, Eq. 7): each arrival is a *request*
@@ -173,14 +170,12 @@ struct SimConfig {
   std::function<void(Rng&, ClassId, std::uint32_t, std::vector<ServerId>&)>
       placement;
 
-  /// Control-plane placement policy (core/placement/policy.h). Unset
-  /// resolves from the environment — TAILGUARD_PLACEMENT
-  /// (least_loaded|pow_d|tail_risk), TAILGUARD_PLACEMENT_D — defaulting to
-  /// least_loaded, which in the simulator keeps the exact legacy uniform
-  /// distinct sampling path (all servers are equal candidates, so
-  /// least-loaded over an unweighted view degenerates to it). pow_d and
-  /// tail_risk route each query through ShardedControlPlane::place() over
-  /// live queue-depth candidates.
+  /// Control-plane placement policy (core/placement/policy.h). Unset means
+  /// default PlacementPolicyOptions: least_loaded, which in the simulator
+  /// keeps the exact legacy uniform distinct sampling path (all servers are
+  /// equal candidates, so least-loaded over an unweighted view degenerates
+  /// to it). pow_d routes each query through ShardedControlPlane::place()
+  /// over live queue-depth candidates.
   std::optional<PlacementPolicyOptions> placement_policy;
 
   /// Observer called once per admitted query with the servers its tasks
@@ -238,18 +233,14 @@ struct SimResult {
   std::uint32_t shards = 1;
   std::uint64_t shard_sync_rounds = 0;
   std::uint64_t shard_samples_shipped = 0;
-  std::uint64_t shard_slack_samples_shipped = 0;
 
   /// Placement observability: which policy ran and its per-decision
   /// counters. `placement_decisions` counts control-plane place() calls
   /// (0 under the default least_loaded, which keeps the legacy sampling
-  /// path, and under a custom `placement` functor);
-  /// `placement_mean_staleness_ms` is the mean age of the slack data behind
-  /// each tail_risk decision (0 for other policies).
+  /// path, and under a custom `placement` functor).
   PlacementPolicyKind placement_kind = PlacementPolicyKind::kLeastLoaded;
   std::uint64_t placement_decisions = 0;
   std::uint64_t placement_candidates_considered = 0;
-  double placement_mean_staleness_ms = 0.0;
 
   /// Heap allocations made inside the event loop, as observed through the
   /// common/alloc_probe.h hook — always 0 unless the running binary installed

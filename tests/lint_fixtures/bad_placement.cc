@@ -2,10 +2,9 @@
 // src/runtime/, src/net/, src/sas/ or src/shard/ — the sharding facade
 // included — every placement token below must fire control-plane-boundary:
 // placement is pluggable behind QueryControlPlane::place(), selected via
-// PlacementPolicyOptions / TAILGUARD_PLACEMENT, and naming the raw picker
-// or a concrete policy class pins one strategy into this backend. The same
-// bytes are legal in core (which owns the policies), tests and tools.
-#include "core/placement.h"
+// PlacementPolicyOptions, and naming a concrete policy class pins one
+// strategy into this backend. The same bytes are legal in core (which owns
+// the policies), tests and tools.
 #include "core/placement/policy.h"
 
 namespace tailguard {
@@ -13,12 +12,6 @@ namespace tailguard {
 struct HardwiredBackend {
   LeastLoadedPolicy fallback;
   PowerOfDPolicy sampler{2};
-  SlackTailRiskPolicy ranker;
 };
-
-std::vector<ServerId> place_direct(std::vector<PlacementCandidate> cand,
-                                   Rng& rng) {
-  return pick_least_loaded(std::move(cand), 2, rng);
-}
 
 }  // namespace tailguard

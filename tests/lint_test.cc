@@ -202,20 +202,19 @@ TEST(LintTest, BadPlacementFiresInEveryBackend) {
     const auto diags = lint_fixture("bad_placement.cc", path);
     EXPECT_EQ(rules_of(diags), std::set<std::string>{"control-plane-boundary"})
         << path;
-    // One finding per token: the three concrete policy classes plus the raw
-    // pick_least_loaded call.
-    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 4) << path;
+    // One finding per token: the two concrete policy classes.
+    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 2) << path;
   }
 }
 
 TEST(LintTest, PlacementTokensBannedEvenInTheFacade) {
   // Unlike QueryControlPlane ownership, placement names have no sanctioned
-  // home in src/shard: the facade forwards place() and ships slack deltas,
-  // but policy construction belongs to core/placement/policy.cc alone.
+  // home in src/shard: the facade forwards place(), but policy
+  // construction belongs to core/placement/policy.cc alone.
   for (const std::string path : {"src/shard/sharded_control_plane.cc",
                                  "src/shard/sharded_control_plane.h"}) {
     const auto diags = lint_fixture("bad_placement.cc", path);
-    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 4) << path;
+    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 2) << path;
   }
 }
 

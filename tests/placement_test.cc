@@ -1,14 +1,10 @@
 // Tests for the pluggable placement subsystem (core/placement/):
 //
-//   * least_loaded through the policy layer is bit-identical to the raw
-//     pick_least_loaded it replaced (same picks, same Rng stream);
+//   * least_loaded is bit-identical to the free-function picker it absorbed
+//     (same picks, same Rng stream), kept below as the test oracle;
 //   * pow_d is deterministic for a fixed seed, distinct while possible, and
 //     degenerates to a global least-loaded scan at d >= n;
-//   * tail_risk's risk bands rank servers the way the scoring model says
-//     (full-data misses in [0,1), partial data in [1,2), budget-exceeded
-//     backlog in [2,inf)), driven by hand-built slack histograms;
-//   * the control plane feeds slack on enqueue, accounts staleness per
-//     decision, and exposes the per-policy counters;
+//   * the control plane exposes the per-policy counters;
 //   * in-place percentile selection never perturbs the means computed
 //     before it (floating-point sums are order-sensitive) and matches the
 //     copying percentile exactly;
@@ -18,18 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/control_plane.h"
-#include "core/placement.h"
 #include "core/placement/policy.h"
-#include "core/placement/slack_tracker.h"
 #include "dist/standard.h"
 #include "net/dispatcher.h"
 #include "net/task_server.h"
@@ -62,6 +56,24 @@ ControlPlaneOptions plane_options(PlacementPolicyKind kind,
   return options;
 }
 
+// The least-loaded picker as it stood before LeastLoadedPolicy absorbed it:
+// the oracle the policy must match pick for pick and draw for draw.
+std::vector<ServerId> pick_least_loaded(
+    std::vector<PlacementCandidate> candidates, std::size_t count, Rng& rng) {
+  if (count == 0) return {};
+  TG_CHECK_MSG(!candidates.empty(), "placement needs at least one candidate");
+  // Random tie-break: scale the load so the random component never reorders
+  // genuinely different loads.
+  for (auto& [load, id] : candidates)
+    load = load * candidates.size() + rng.uniform_index(candidates.size());
+  std::sort(candidates.begin(), candidates.end());
+  std::vector<ServerId> picked;
+  picked.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    picked.push_back(candidates[i % candidates.size()].second);
+  return picked;
+}
+
 std::vector<PlacementCandidate> random_candidates(std::size_t n, Rng& rng) {
   std::vector<PlacementCandidate> candidates;
   candidates.reserve(n);
@@ -86,7 +98,7 @@ TEST(PlacementPolicy, LeastLoadedBitIdenticalToRawPicker) {
     auto scratch = candidates;
     std::vector<ServerId> out;
     const std::size_t examined =
-        policy.place(scratch, count, PlacementContext{}, policy_rng, out);
+        policy.place(scratch, count, policy_rng, out);
 
     EXPECT_EQ(out, raw) << "count=" << count;
     EXPECT_EQ(examined, count == 0 ? 0u : candidates.size());
@@ -102,7 +114,6 @@ TEST(PlacementPolicy, ControlPlaneDefaultPlaceMatchesRawPicker) {
   QueryControlPlane cp(plane_options(PlacementPolicyKind::kLeastLoaded, seed),
                        fixed_models(4, 5.0));
   EXPECT_EQ(cp.placement_kind(), PlacementPolicyKind::kLeastLoaded);
-  EXPECT_FALSE(cp.slack_tracking_enabled());
 
   Rng reference(seed);
   Rng fill(11);
@@ -114,7 +125,6 @@ TEST(PlacementPolicy, ControlPlaneDefaultPlaceMatchesRawPicker) {
   }
   EXPECT_EQ(cp.placement_stats().decisions, 5u);
   EXPECT_EQ(cp.placement_stats().candidates_considered, 20u);
-  EXPECT_EQ(cp.placement_stats().decisions_with_slack, 0u);
 }
 
 // ------------------------------------------------------------------ pow_d
@@ -128,7 +138,7 @@ TEST(PlacementPolicy, PowerOfDDeterministicForFixedSeed) {
     for (int q = 0; q < 50; ++q) {
       auto candidates = random_candidates(8, fill);
       std::vector<ServerId> out;
-      policy.place(candidates, 3, PlacementContext{}, rng, out);
+      policy.place(candidates, 3, rng, out);
       sequence.push_back(out);
     }
     return sequence;
@@ -146,10 +156,10 @@ TEST(PlacementPolicy, PowerOfDPicksAreDistinctWhilePossible) {
       candidates.emplace_back(1, static_cast<ServerId>(i));
     std::vector<ServerId> out;
     // count == n: every server exactly once (a permutation).
-    policy.place(candidates, 5, PlacementContext{}, rng, out);
+    policy.place(candidates, 5, rng, out);
     EXPECT_EQ(std::set<ServerId>(out.begin(), out.end()).size(), 5u);
     // count > n: round-robin reuse — each server appears exactly twice.
-    policy.place(candidates, 10, PlacementContext{}, rng, out);
+    policy.place(candidates, 10, rng, out);
     for (ServerId s = 0; s < 5; ++s)
       EXPECT_EQ(std::count(out.begin(), out.end(), s), 2) << "server " << s;
   }
@@ -164,124 +174,9 @@ TEST(PlacementPolicy, PowerOfDDegeneratesToGlobalScanAtLargeD) {
   std::vector<PlacementCandidate> candidates = {
       {7, 0}, {2, 1}, {9, 2}, {1, 3}, {4, 4}, {6, 5}};
   std::vector<ServerId> out;
-  const std::size_t examined =
-      policy.place(candidates, 3, PlacementContext{}, rng, out);
+  const std::size_t examined = policy.place(candidates, 3, rng, out);
   EXPECT_EQ(out, (std::vector<ServerId>{3, 1, 4}));
   EXPECT_EQ(examined, 6u + 5u + 4u);
-}
-
-// -------------------------------------------------------------- tail_risk
-
-TEST(PlacementPolicy, TailRiskBandsOrderColdFeasibleAndOverloaded) {
-  const StreamingHistogramOptions histo =
-      PlacementPolicyOptions{}.slack_histogram;
-  SlackTracker tracker(3, histo);
-  PlacementContext ctx;
-  ctx.slack = &tracker;
-  ctx.budget_hint_ms = 10.0;
-  ctx.now_ms = 100.0;
-
-  // Cold servers (no slack data): partial band [1,2), ranked by load.
-  EXPECT_DOUBLE_EQ(SlackTailRiskPolicy::risk_of(0, 0, ctx), 1.0);
-  EXPECT_GT(SlackTailRiskPolicy::risk_of(3, 0, ctx),
-            SlackTailRiskPolicy::risk_of(1, 0, ctx));
-  EXPECT_LT(SlackTailRiskPolicy::risk_of(1000, 0, ctx), 2.0);
-
-  // Server 1: relaxed queue (all slack far above the budget) and fast
-  // observed service — the full-data band, risk < 1.
-  for (int i = 0; i < 200; ++i) {
-    tracker.record_enqueue(1, 500.0, 50.0);
-    tracker.record_service(1, 1.0);
-  }
-  const double relaxed = SlackTailRiskPolicy::risk_of(4, 1, ctx);
-  EXPECT_GE(relaxed, 0.0);
-  EXPECT_LT(relaxed, 1.0);
-
-  // Server 2: urgent queue (slack below the budget) and slow service — the
-  // expected urgent backlog alone exceeds the budget, risk >= 2.
-  for (int i = 0; i < 200; ++i) {
-    tracker.record_enqueue(2, 2.0, 50.0);
-    tracker.record_service(2, 8.0);
-  }
-  const double urgent = SlackTailRiskPolicy::risk_of(4, 2, ctx);
-  EXPECT_GE(urgent, 2.0);
-
-  // Equal load, worlds apart in risk: relaxed < cold < urgent.
-  EXPECT_LT(relaxed, SlackTailRiskPolicy::risk_of(4, 0, ctx));
-  EXPECT_LT(SlackTailRiskPolicy::risk_of(4, 0, ctx), urgent);
-}
-
-TEST(PlacementPolicy, TailRiskPrefersRelaxedServerOverUrgentAtEqualLoad) {
-  const StreamingHistogramOptions histo =
-      PlacementPolicyOptions{}.slack_histogram;
-  SlackTracker tracker(2, histo);
-  for (int i = 0; i < 200; ++i) {
-    tracker.record_enqueue(0, 1.0, 10.0);    // urgent backlog on server 0
-    tracker.record_service(0, 5.0);
-    tracker.record_enqueue(1, 200.0, 10.0);  // relaxed backlog on server 1
-    tracker.record_service(1, 5.0);
-  }
-  PlacementContext ctx;
-  ctx.slack = &tracker;
-  ctx.budget_hint_ms = 8.0;
-  SlackTailRiskPolicy policy;
-  Rng rng(31);
-  for (int round = 0; round < 10; ++round) {
-    std::vector<PlacementCandidate> candidates = {{3, 0}, {3, 1}};
-    std::vector<ServerId> out;
-    const std::size_t examined = policy.place(candidates, 1, ctx, rng, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], 1u) << "equal load must not mask the slack signal";
-    EXPECT_EQ(examined, 2u);
-  }
-}
-
-TEST(PlacementPolicy, TailRiskWithoutAnyDataRanksByLoad) {
-  const StreamingHistogramOptions histo =
-      PlacementPolicyOptions{}.slack_histogram;
-  SlackTracker tracker(3, histo);
-  PlacementContext ctx;
-  ctx.slack = &tracker;
-  SlackTailRiskPolicy policy;
-  Rng rng(37);
-  std::vector<PlacementCandidate> candidates = {{9, 0}, {1, 1}, {4, 2}};
-  std::vector<ServerId> out;
-  policy.place(candidates, 2, ctx, rng, out);
-  EXPECT_EQ(out, (std::vector<ServerId>{1, 2}));
-}
-
-TEST(PlacementPolicy, ControlPlaneFeedsSlackAndAccountsStaleness) {
-  QueryControlPlane cp(plane_options(PlacementPolicyKind::kTailRisk),
-                       fixed_models(4, 5.0));
-  EXPECT_EQ(cp.placement_kind(), PlacementPolicyKind::kTailRisk);
-  ASSERT_TRUE(cp.slack_tracking_enabled());
-
-  // No slack data yet: the decision is counted, but not as slack-informed.
-  cp.place({{0, 0}, {0, 1}, {0, 2}, {0, 3}}, 2, 0, 50.0);
-  EXPECT_EQ(cp.placement_stats().decisions, 1u);
-  EXPECT_EQ(cp.placement_stats().candidates_considered, 4u);
-  EXPECT_EQ(cp.placement_stats().decisions_with_slack, 0u);
-
-  // begin_query records each placed task's budget as a slack observation on
-  // its server, timestamped t0.
-  const QueryPlan plan = cp.begin_query(100.0, 0, {{0, 1}});
-  EXPECT_GT(plan.budget_ms, 0.0);
-  ASSERT_NE(cp.slack_tracker(), nullptr);
-  EXPECT_EQ(cp.slack_tracker()->slack_observations(0), 1u);
-  EXPECT_EQ(cp.slack_tracker()->slack_observations(1), 1u);
-  EXPECT_EQ(cp.slack_tracker()->slack_observations(2), 0u);
-
-  // A decision 30 ms later: two of four candidates carry slack data aged
-  // exactly 30 ms, so the decision's mean staleness is 30.
-  cp.place({{0, 0}, {0, 1}, {0, 2}, {0, 3}}, 2, 0, 130.0);
-  const PlacementStats stats = cp.placement_stats();
-  EXPECT_EQ(stats.decisions, 2u);
-  EXPECT_EQ(stats.decisions_with_slack, 1u);
-  EXPECT_DOUBLE_EQ(stats.slack_staleness_ms_sum, 30.0);
-
-  // Completions feed the service-time histograms.
-  cp.observe_post_queuing(0, 4.0);
-  EXPECT_GT(cp.slack_tracker()->mean_service_ms(0), 0.0);
 }
 
 // ------------------------------------------------- in-place percentile math
@@ -323,24 +218,9 @@ TEST(PlacementStatsMath, MeansAreComputedBeforeInPlaceSelection) {
   EXPECT_DOUBLE_EQ(tm.tail_ms, percentile(pristine, 50.0));
 }
 
-// ----------------------------------------------------------- env selection
+// ------------------------------------------------------ policy selection
 
-TEST(PlacementConfig, EnvKnobsSelectPolicyAndSampleWidth) {
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "pow_d", 1), 0);
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT_D", "5", 1), 0);
-  PlacementPolicyOptions opts = placement_from_env();
-  EXPECT_EQ(opts.kind, PlacementPolicyKind::kPowerOfD);
-  EXPECT_EQ(opts.power_d, 5u);
-
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "tail_risk", 1), 0);
-  EXPECT_EQ(placement_from_env().kind, PlacementPolicyKind::kTailRisk);
-
-  unsetenv("TAILGUARD_PLACEMENT");
-  unsetenv("TAILGUARD_PLACEMENT_D");
-  EXPECT_EQ(placement_from_env().kind, PlacementPolicyKind::kLeastLoaded);
-}
-
-TEST(PlacementConfig, SimulatorHonoursEnvSelection) {
+TEST(PlacementConfig, SimulatorHonoursPolicySelection) {
   SimConfig config;
   config.num_servers = 8;
   config.policy = Policy::kTfEdf;
@@ -351,9 +231,10 @@ TEST(PlacementConfig, SimulatorHonoursEnvSelection) {
   config.num_queries = 500;
   config.seed = 4;
 
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "pow_d", 1), 0);
-  const SimResult informed = run_simulation(config);
-  unsetenv("TAILGUARD_PLACEMENT");
+  SimConfig pow_d = config;
+  pow_d.placement_policy =
+      PlacementPolicyOptions{.kind = PlacementPolicyKind::kPowerOfD};
+  const SimResult informed = run_simulation(pow_d);
   EXPECT_EQ(informed.placement_kind, PlacementPolicyKind::kPowerOfD);
   EXPECT_GT(informed.placement_decisions, 0u);
   EXPECT_GT(informed.placement_candidates_considered,

@@ -352,6 +352,8 @@ TEST(Service, AdmissionRejectsUnderOverload) {
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(svc.rejected_queries(), rejected);
   EXPECT_EQ(svc.completed_queries(), 300u - rejected);
+  // Admission runs before placement: a rejected query is never placed.
+  EXPECT_EQ(svc.placement_stats().decisions, 300u - rejected);
 }
 
 TEST(Service, EdfOrderObservedUnderContention) {

@@ -234,19 +234,6 @@ TEST(ShardedControlPlane, MaybeSyncHonoursIntervalBoundaries) {
   EXPECT_DOUBLE_EQ(cp.next_sync_at(), 60.0);
 }
 
-TEST(ShardedControlPlane, LoadGaugesMergeAsLastWriterWins) {
-  auto cp = two_shard_plane();
-  cp.update_local_load(0, /*server=*/1, 7);
-  cp.sync_now(10.0);
-  EXPECT_EQ(cp.remote_load_sum(1, 1), 7u);
-  // Gauges overwrite: a fresher value replaces, never accumulates.
-  cp.update_local_load(0, 1, 3);
-  cp.sync_now(20.0);
-  EXPECT_EQ(cp.remote_load_sum(1, 1), 3u);
-  // Shard 1 published nothing, so shard 0 sees no remote load.
-  EXPECT_EQ(cp.remote_load_sum(0, 1), 0u);
-}
-
 TEST(ShardedControlPlane, RemoteDequeuesFeedAdmissionWindowOnly) {
   ControlPlaneOptions options = one_class_options();
   options.admission = AdmissionOptions{};

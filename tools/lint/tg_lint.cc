@@ -509,13 +509,12 @@ void check_control_plane_boundary(const FileCtx& ctx) {
     }
     if (fired) continue;
     // Placement is pluggable behind QueryControlPlane::place(); a backend
-    // that names the raw picker or a concrete policy class has hard-wired
-    // one strategy and broken TAILGUARD_PLACEMENT selection. The facade is
-    // NOT exempt: it forwards place() and ships slack deltas, but policy
-    // construction belongs to core/placement/policy.cc alone.
-    static constexpr std::array<std::string_view, 4> kPlacementTokens = {
-        "pick_least_loaded", "LeastLoadedPolicy", "PowerOfDPolicy",
-        "SlackTailRiskPolicy"};
+    // that names a concrete policy class has hard-wired one strategy and
+    // broken PlacementPolicyOptions selection. The facade is NOT exempt: it
+    // forwards place(), but policy construction belongs to
+    // core/placement/policy.cc alone.
+    static constexpr std::array<std::string_view, 2> kPlacementTokens = {
+        "LeastLoadedPolicy", "PowerOfDPolicy"};
     for (const auto token : kPlacementTokens) {
       if (find_word(line, token) != std::string_view::npos) {
         ctx.report(static_cast<int>(i) + 1, "control-plane-boundary",
@@ -523,9 +522,8 @@ void check_control_plane_boundary(const FileCtx& ctx) {
                        "' referenced in an execution backend; placement is a "
                        "pluggable policy behind QueryControlPlane::place() "
                        "(core/placement/policy.h), selected via "
-                       "PlacementPolicyOptions / TAILGUARD_PLACEMENT — "
-                       "naming the raw picker or a concrete policy class "
-                       "hard-wires one strategy into this backend");
+                       "PlacementPolicyOptions — naming a concrete policy "
+                       "class hard-wires one strategy into this backend");
         break;
       }
     }
@@ -872,10 +870,9 @@ std::string rule_summary() {
       "DeadlineEstimator/QueryTracker/AdmissionController directly; "
       "QueryControlPlane replicas are private to the sharding facade "
       "(cross-shard state flows through StateSyncBus deltas only); "
-      "pick_least_loaded and concrete placement policy classes "
-      "(LeastLoadedPolicy/PowerOfDPolicy/SlackTailRiskPolicy) are "
-      "off-limits everywhere in those dirs, facade included — placement is "
-      "selected via PlacementPolicyOptions / TAILGUARD_PLACEMENT\n"
+      "concrete placement policy classes (LeastLoadedPolicy/PowerOfDPolicy) "
+      "are off-limits everywhere in those dirs, facade included — placement "
+      "is selected via PlacementPolicyOptions\n"
       "hot-path-map        no std::unordered_map / std::map in src/sim or "
       "src/core; the hot path uses SlabMap / SlabHashCache "
       "(common/slab_map.h) — node-based maps allocate per entry\n"
