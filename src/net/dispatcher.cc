@@ -10,35 +10,11 @@
 
 namespace tailguard::net {
 
-namespace {
-std::vector<std::shared_ptr<CdfModel>> make_server_models(
-    const DispatcherOptions& options) {
-  std::vector<std::shared_ptr<CdfModel>> models;
-  models.reserve(options.servers.size());
-  for (std::size_t i = 0; i < options.servers.size(); ++i)
-    models.push_back(
-        std::make_shared<StreamingCdfModel>(options.model_options));
-  return models;
-}
-
-ControlPlaneOptions make_control_plane_options(
-    const DispatcherOptions& options) {
-  ControlPlaneOptions cp;
-  cp.policy = options.policy;
-  cp.classes = options.classes;
-  cp.admission = options.admission;
-  cp.placement = options.placement;
-  cp.seed = options.seed;
-  return cp;
-}
-}  // namespace
-
 RemoteDispatcher::RemoteDispatcher(DispatcherOptions options)
     : options_(std::move(options)),
       epoch_(std::chrono::steady_clock::now()),
-      control_(ShardingOptions{},  // one shard: the dispatcher is one handler
-               make_control_plane_options(options_),
-               make_server_models(options_)) {
+      // One shard: the dispatcher is one handler.
+      door_(ShardingOptions{}, options_, options_.servers.size()) {
   TG_CHECK_MSG(!options_.servers.empty(), "need at least one task server");
   TG_CHECK_MSG(!options_.classes.empty(), "need at least one service class");
   TG_CHECK_MSG(options_.task_timeout_ms > 0.0, "task timeout must be positive");
@@ -60,7 +36,7 @@ RemoteDispatcher::~RemoteDispatcher() {
   if (net_thread_.joinable()) net_thread_.join();
 
   // Fail whatever is still in flight so no future is left hanging.
-  std::vector<Resolution> resolutions;
+  std::vector<FinishedQuery> finished;
   {
     MutexLock lock(mu_);
     std::vector<TaskId> remaining;
@@ -71,11 +47,11 @@ RemoteDispatcher::~RemoteDispatcher() {
       if (it == in_flight_.end()) continue;
       const QueryId query = it->second.query;
       in_flight_.erase(it);
-      finish_task(query, /*missed=*/false, /*failed=*/true, &resolutions);
+      finish_task(query, /*missed=*/false, /*failed=*/true, &finished);
     }
     for (auto& conn : servers_) conn.fd.reset();
   }
-  resolve(std::move(resolutions));
+  resolve(std::move(finished));
 }
 
 TimeMs RemoteDispatcher::now_ms() const {
@@ -87,148 +63,97 @@ TimeMs RemoteDispatcher::now_ms() const {
 void RemoteDispatcher::seed_profile(std::span<const double> samples_ms) {
   MutexLock lock(mu_);
   for (std::size_t s = 0; s < servers_.size(); ++s)
-    control_.seed_profile(static_cast<ServerId>(s), samples_ms);
+    door_.control().seed_profile(static_cast<ServerId>(s), samples_ms);
 }
 
 std::future<QueryResult> RemoteDispatcher::submit(
     ClassId cls, std::vector<RemoteTaskSpec> tasks,
     std::optional<TimeMs> budget_override) {
-  TG_CHECK_MSG(!tasks.empty(), "query must contain at least one task");
   TG_CHECK_MSG(cls < options_.classes.size(), "unknown class " << cls);
   TG_CHECK_MSG(running_.load(std::memory_order_relaxed),
                "submit on a stopped dispatcher");
 
-  std::promise<QueryResult> promise;
-  std::future<QueryResult> future = promise.get_future();
-  std::vector<Resolution> resolutions;
+  const auto fanout = static_cast<std::uint32_t>(tasks.size());
+  std::vector<FinishedQuery> finished;
+  QueryFrontDoor::Begun begun;
   bool wake = false;
   {
     MutexLock lock(mu_);
     const TimeMs t0 = now_ms();
 
-    // Admission decision (§III.C) comes first: a rejected query costs no
-    // placement work and never reaches a daemon.
-    if (!control_.should_admit(/*shard=*/0, t0)) {
-      control_.count_rejected(0);
-      QueryResult r;
-      r.cls = cls;
-      r.fanout = static_cast<std::uint32_t>(tasks.size());
-      r.admitted = false;
-      promise.set_value(r);
-      return future;
-    }
-    control_.count_admitted(0);
-
-    std::vector<PlacementCandidate> alive;
+    std::vector<PlacementCandidate>& view = door_.candidate_view(/*shard=*/0);
     for (std::size_t s = 0; s < servers_.size(); ++s)
       if (servers_[s].state == ConnState::kAlive)
         // Load = our own in-flight tasks plus the daemon's last gossiped
         // queue depth (other dispatchers' backlog; 0 in a pre-gossip fleet).
         // The two overlap — our queued tasks appear in both — which biases
         // every candidate the same way and leaves the ranking sound.
-        alive.emplace_back(
+        view.emplace_back(
             servers_[s].in_flight + servers_[s].gossip_queue_depth,
             static_cast<ServerId>(s));
+    const bool any_alive = !view.empty();
+    // Explicit targets are honoured even when down (they fail below), the
+    // rest go to the policy over the alive set. A rejected query never
+    // reaches a daemon.
+    const std::span<const ServerId> placed =
+        door_.admit_and_place(/*shard=*/0, t0, tasks, &RemoteTaskSpec::server);
+    if (placed.empty())
+      return QueryFrontDoor::ready(
+          {.cls = cls, .fanout = fanout, .admitted = false});
 
-    // Placement: explicit targets are honoured (and fail fast when the
-    // target is down); the rest go least-loaded over the alive set,
-    // distinct where capacity allows.
-    std::vector<ServerId> placement(tasks.size());
-    std::vector<bool> failed_at_submit(tasks.size(), false);
-    std::vector<std::size_t> unassigned;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (tasks[i].server) {
-        TG_CHECK_MSG(*tasks[i].server < servers_.size(),
-                     "unknown server " << *tasks[i].server);
-        placement[i] = *tasks[i].server;
-        failed_at_submit[i] =
-            servers_[*tasks[i].server].state != ConnState::kAlive;
-      } else {
-        unassigned.push_back(i);
-      }
-    }
-    if (!unassigned.empty()) {
-      if (alive.empty()) {
-        for (std::size_t i : unassigned) failed_at_submit[i] = true;
-      } else {
-        const auto picked =
-            control_.place(/*shard=*/0, std::move(alive), unassigned.size());
-        for (std::size_t j = 0; j < unassigned.size(); ++j)
-          placement[unassigned[j]] = picked[j];
-      }
-    }
-    if (options_.placement_observer) options_.placement_observer(placement);
-
-    // With no server reachable the query degrades to an immediate failure —
+    // With no server alive the query degrades to an immediate failure —
     // callers get a resolved future, never a hang.
-    const bool all_failed =
-        std::all_of(failed_at_submit.begin(), failed_at_submit.end(),
-                    [](bool f) { return f; });
-    if (all_failed) {
-      QueryResult r;
-      r.cls = cls;
-      r.fanout = static_cast<std::uint32_t>(tasks.size());
-      r.tasks_failed = r.fanout;
-      tasks_failed_ += r.fanout;
+    if (!any_alive) {
+      tasks_failed_ += fanout;
       ++degraded_queries_;
-      resolutions.emplace_back(std::move(promise), r);
-    } else {
-      // Budget (Eq. 6 over the intended server set — dead explicit targets
-      // included, their frozen models still describe the intent — or the
-      // caller's Eq. 7 override), t_D and the ordering key all come from
-      // the control plane.
-      const QueryPlan plan =
-          control_.begin_query(/*shard=*/0, t0, cls, placement,
-                               budget_override);
-      const QueryId qid = plan.id;
-      PendingQuery pending;
-      pending.promise = std::move(promise);
-      pending.result.id = qid;
-      pending.result.cls = cls;
-      pending.result.fanout = static_cast<std::uint32_t>(tasks.size());
-      pending.result.deadline_budget_ms = plan.budget_ms;
-      pending_.emplace(qid, std::move(pending));
+      return QueryFrontDoor::ready(
+          {.cls = cls, .fanout = fanout, .tasks_failed = fanout});
+    }
 
-      // Deadlines are t0 plus a constant and t0 only grows under mu_, so
-      // appending keeps the timeout FIFO in deadline order.
-      const TimeMs timeout_at_ms = t0 + options_.task_timeout_ms;
-      TG_DCHECK(timeouts_.empty() ||
-                timeouts_.back().first <= timeout_at_ms);
-      std::vector<ServerId> to_send;  // queues this submit found empty
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (failed_at_submit[i]) {
-          finish_task(qid, /*missed=*/false, /*failed=*/true, &resolutions);
-          continue;
-        }
-        SubmitTaskMsg msg;
-        msg.task = next_task_id_++;
-        msg.query = qid;
-        msg.cls = cls;
-        msg.relative_deadline_ms = plan.order_deadline - t0;
-        msg.simulated_service_ms = tasks[i].simulated_service_ms;
-        ServerConn& conn = servers_[placement[i]];
-        // Frames for the same server coalesce into one chunk here and leave
-        // in a single vectored send.
-        if (conn.out.empty()) to_send.push_back(placement[i]);
-        encode_into(msg, conn.out.chunk());
-        ++conn.in_flight;
-        in_flight_.emplace(msg.task, InFlightTask{qid, placement[i]});
-        timeouts_.emplace_back(timeout_at_ms, msg.task);
+    // Budget (Eq. 6 over the intended server set — dead explicit targets
+    // included, their frozen models still describe the intent — or the
+    // caller's Eq. 7 override), t_D and the ordering key.
+    begun = door_.begin(/*shard=*/0, t0, cls, placed, budget_override);
+    const QueryId qid = begun.plan.id;
+
+    // Deadlines are t0 plus a constant and t0 only grows under mu_, so
+    // appending keeps the timeout FIFO in deadline order.
+    const TimeMs timeout_at_ms = t0 + options_.task_timeout_ms;
+    TG_DCHECK(timeouts_.empty() || timeouts_.back().first <= timeout_at_ms);
+    std::vector<ServerId> to_send;  // queues this submit found empty
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      ServerConn& conn = servers_[placed[i]];
+      if (conn.state != ConnState::kAlive) {
+        finish_task(qid, /*missed=*/false, /*failed=*/true, &finished);
+        continue;
       }
-      // A running loop flushes every queue before it waits, so only a
-      // waiting one leaves the send to this thread, and only for a queue it
-      // found empty: one that was not holds a blocked tail, which the loop
-      // sends on EPOLLOUT.
-      if (waiting_until_ms_) {
-        for (ServerId s : to_send) wake |= send_now(servers_[s]);
-        // A timeout due before the wait ends needs the loop awake sooner.
-        wake |= timeout_at_ms < *waiting_until_ms_;
-      }
+      SubmitTaskMsg msg;
+      msg.task = next_task_id_++;
+      msg.query = qid;
+      msg.cls = cls;
+      msg.relative_deadline_ms = begun.plan.order_deadline - t0;
+      msg.simulated_service_ms = tasks[i].simulated_service_ms;
+      // Frames for the same server coalesce into one chunk here and leave
+      // in a single vectored send.
+      if (conn.out.empty()) to_send.push_back(placed[i]);
+      encode_into(msg, conn.out.chunk());
+      ++conn.in_flight;
+      in_flight_.emplace(msg.task, InFlightTask{qid, placed[i]});
+      timeouts_.emplace_back(timeout_at_ms, msg.task);
+    }
+    // A running loop flushes every queue before it waits, so only a
+    // waiting one leaves the send to this thread, and only for a queue it
+    // found empty: one that was not holds a blocked tail, which the loop
+    // sends on EPOLLOUT.
+    if (waiting_until_ms_) {
+      for (ServerId s : to_send) wake |= send_now(servers_[s]);
+      // A timeout due before the wait ends needs the loop awake sooner.
+      wake |= timeout_at_ms < *waiting_until_ms_;
     }
   }
   if (wake) wake_.wake();
-  resolve(std::move(resolutions));
-  return future;
+  resolve(std::move(finished));
+  return std::move(begun.future);
 }
 
 bool RemoteDispatcher::wait_for_servers(std::size_t min_alive,
@@ -281,12 +206,12 @@ std::uint64_t RemoteDispatcher::completed_queries() const {
   MutexLock lock(mu_);
   // Degraded (no-server) queries resolve without ever registering with the
   // control plane; callers still see them as completed.
-  return control_.queries_completed() + degraded_queries_;
+  return door_.control().queries_completed() + degraded_queries_;
 }
 
 std::uint64_t RemoteDispatcher::rejected_queries() const {
   MutexLock lock(mu_);
-  return control_.queries_rejected();
+  return door_.control().queries_rejected();
 }
 
 std::uint64_t RemoteDispatcher::failed_tasks() const {
@@ -296,7 +221,7 @@ std::uint64_t RemoteDispatcher::failed_tasks() const {
 
 double RemoteDispatcher::deadline_miss_ratio() const {
   MutexLock lock(mu_);
-  return control_.task_miss_ratio();
+  return door_.control().task_miss_ratio();
 }
 
 std::shared_ptr<const CdfModel> RemoteDispatcher::server_model(
@@ -304,7 +229,7 @@ std::shared_ptr<const CdfModel> RemoteDispatcher::server_model(
   MutexLock lock(mu_);
   // Deep-copy under the lock: handing out a reference would race with the
   // observations the net thread keeps folding into the live model.
-  return control_.model_of(/*shard=*/0, server).clone();
+  return door_.control().model_of(/*shard=*/0, server).clone();
 }
 
 std::size_t RemoteDispatcher::gossip_capable_servers() const {
@@ -327,41 +252,28 @@ std::uint64_t RemoteDispatcher::gossip_duplicates_dropped() const {
 
 PlacementPolicyKind RemoteDispatcher::placement_kind() const {
   MutexLock lock(mu_);
-  return control_.placement_kind();
+  return door_.control().placement_kind();
 }
 
 PlacementStats RemoteDispatcher::placement_stats() const {
   MutexLock lock(mu_);
-  return control_.placement_stats();
+  return door_.control().placement_stats();
 }
 
 // ------------------------------------------------------------ task endings
 
 void RemoteDispatcher::finish_task(QueryId query, bool missed, bool failed,
-                                   std::vector<Resolution>* resolutions) {
-  const auto it = pending_.find(query);
-  TG_CHECK_MSG(it != pending_.end(), "no pending entry for query");
-  if (failed) {
-    ++tasks_failed_;
-    ++it->second.result.tasks_failed;
-  } else {
-    // Feeds the per-class miss accounting and the admission window: over
-    // the wire the dequeue-side miss flag arrives with the completion.
-    control_.record_task_dequeue(query, now_ms(),
-                                 control_.query_state(query).cls, missed);
-    if (missed) ++it->second.result.tasks_missed_deadline;
-  }
-  QueryState final_state;
-  if (control_.complete_task(query, &final_state)) {
-    it->second.result.latency_ms = now_ms() - final_state.t0;
-    resolutions->emplace_back(std::move(it->second.promise),
-                              it->second.result);
-    pending_.erase(it);
-  }
+                                   std::vector<FinishedQuery>* finished) {
+  if (failed) ++tasks_failed_;
+  // Over the wire the dequeue-side miss flag arrives with the completion,
+  // which stands in for the dequeue time.
+  const TimeMs now = now_ms();
+  if (auto done = door_.finish_task(query, now, now, missed, failed))
+    finished->push_back(std::move(*done));
 }
 
 void RemoteDispatcher::expire_timeouts(TimeMs now,
-                                       std::vector<Resolution>* resolutions) {
+                                       std::vector<FinishedQuery>* finished) {
   // Answered tasks leave the front whatever their deadline, so the FIFO
   // spans only the oldest in-flight task onwards, not the whole timeout.
   while (!timeouts_.empty()) {
@@ -374,7 +286,7 @@ void RemoteDispatcher::expire_timeouts(TimeMs now,
     ServerConn& conn = servers_[it->second.server];
     if (conn.in_flight > 0) --conn.in_flight;
     in_flight_.erase(it);
-    finish_task(query, /*missed=*/false, /*failed=*/true, resolutions);
+    finish_task(query, /*missed=*/false, /*failed=*/true, finished);
   }
 }
 
@@ -393,8 +305,8 @@ bool RemoteDispatcher::send_now(ServerConn& conn) {
   return true;
 }
 
-void RemoteDispatcher::resolve(std::vector<Resolution> resolutions) {
-  for (auto& [promise, result] : resolutions) promise.set_value(result);
+void RemoteDispatcher::resolve(std::vector<FinishedQuery> finished) {
+  for (FinishedQuery& f : finished) f.promise.set_value(f.result);
 }
 
 // -------------------------------------------------------------- networking
@@ -413,7 +325,7 @@ void RemoteDispatcher::start_connect(ServerId server, TimeMs now) {
 }
 
 void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
-                                  std::vector<Resolution>* resolutions) {
+                                  std::vector<FinishedQuery>* finished) {
   ServerConn& conn = servers_[server];
   if (conn.fd.valid()) poller_.forget(conn.fd.get());
   conn.fd.reset();
@@ -438,12 +350,12 @@ void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
   for (TaskId task : orphaned) {
     const QueryId query = in_flight_.at(task).query;
     in_flight_.erase(task);
-    finish_task(query, /*missed=*/false, /*failed=*/true, resolutions);
+    finish_task(query, /*missed=*/false, /*failed=*/true, finished);
   }
 }
 
 bool RemoteDispatcher::read_server(ServerId server,
-                                   std::vector<Resolution>* resolutions) {
+                                   std::vector<FinishedQuery>* finished) {
   ServerConn& conn = servers_[server];
   std::uint8_t buf[16 * 1024];
   for (;;) {
@@ -461,12 +373,12 @@ bool RemoteDispatcher::read_server(ServerId server,
       return false;
     }
   }
-  while (auto frame = conn.in.next()) handle_frame(server, *frame, resolutions);
+  while (auto frame = conn.in.next()) handle_frame(server, *frame, finished);
   return conn.in.error().empty();
 }
 
 void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
-                                    std::vector<Resolution>* resolutions) {
+                                    std::vector<FinishedQuery>* finished) {
   ServerConn& conn = servers_[server];
   switch (frame.type) {
     case MsgType::kHelloAck: {
@@ -483,20 +395,21 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       if (!decode(frame, &msg)) break;
       // The observation is valid even when the task already timed out — the
       // server really took that long (online updating, §III.B.2).
-      control_.observe_post_queuing_on(/*shard=*/0, server, msg.service_ms);
+      door_.control().observe_post_queuing_on(/*shard=*/0, server,
+                                              msg.service_ms);
       const auto it = in_flight_.find(msg.task);
       if (it == in_flight_.end()) break;  // late reply after timeout/failover
       const QueryId query = it->second.query;
       if (conn.in_flight > 0) --conn.in_flight;
       in_flight_.erase(it);
-      finish_task(query, msg.missed_deadline, /*failed=*/false, resolutions);
+      finish_task(query, msg.missed_deadline, /*failed=*/false, finished);
       break;
     }
     case MsgType::kModelSync: {
       ModelSyncMsg sync;
       if (!decode(frame, &sync)) break;
       for (double s : sync.samples_ms)
-        control_.observe_post_queuing_on(/*shard=*/0, server, s);
+        door_.control().observe_post_queuing_on(/*shard=*/0, server, s);
       break;
     }
     case MsgType::kGossipHello: {
@@ -522,12 +435,12 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       // so each observation reaches this model exactly once.
       for (const auto& entry : msg.delta.servers) {
         for (double s : entry.samples_ms)
-          control_.observe_post_queuing_on(/*shard=*/0, server, s);
+          door_.control().observe_post_queuing_on(/*shard=*/0, server, s);
         if (entry.has_load) conn.gossip_queue_depth = entry.load_estimate;
       }
-      control_.absorb_remote_dequeues(/*shard=*/0, now_ms(),
-                                      msg.delta.dequeues_recorded,
-                                      msg.delta.dequeues_missed);
+      door_.control().absorb_remote_dequeues(/*shard=*/0, now_ms(),
+                                             msg.delta.dequeues_recorded,
+                                             msg.delta.dequeues_missed);
       ++gossip_deltas_absorbed_;
       break;
     }
@@ -545,12 +458,12 @@ void RemoteDispatcher::net_loop() {
   poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
   std::vector<Poller::Event> events;
   while (running_.load(std::memory_order_relaxed)) {
-    std::vector<Resolution> resolutions;
+    std::vector<FinishedQuery> finished;
     double poll_timeout_ms = 200.0;
     {
       MutexLock lock(mu_);
       const TimeMs now = now_ms();
-      expire_timeouts(now, &resolutions);
+      expire_timeouts(now, &finished);
       for (std::size_t s = 0; s < servers_.size(); ++s) {
         ServerConn& conn = servers_[s];
         // Flush before waiting: frames callers queued while the loop ran,
@@ -561,7 +474,7 @@ void RemoteDispatcher::net_loop() {
             (conn.send_failed ||
              (!conn.out.empty() && conn.out.flush(conn.fd.get()) ==
                                        SendQueue::FlushResult::kError)))
-          disconnect(static_cast<ServerId>(s), now, &resolutions);
+          disconnect(static_cast<ServerId>(s), now, &finished);
         if (conn.state == ConnState::kBackoff) {
           if (now >= conn.next_attempt_ms)
             start_connect(static_cast<ServerId>(s), now);
@@ -584,8 +497,8 @@ void RemoteDispatcher::net_loop() {
             std::min(poll_timeout_ms, timeouts_.front().first - now);
       waiting_until_ms_ = now + poll_timeout_ms;
     }
-    resolve(std::move(resolutions));
-    resolutions.clear();
+    resolve(std::move(finished));
+    finished.clear();
 
     const int timeout_ms =
         std::max(1, static_cast<int>(poll_timeout_ms) + 1);
@@ -621,16 +534,16 @@ void RemoteDispatcher::net_loop() {
             encode_into(hello, conn->out.chunk());
             conn->state = ConnState::kHandshaking;
           } else {
-            disconnect(s, now, &resolutions);
+            disconnect(s, now, &finished);
           }
           continue;
         }
         bool ok = !ev.closed;
-        if (ok && ev.readable) ok = read_server(s, &resolutions);
-        if (!ok) disconnect(s, now, &resolutions);
+        if (ok && ev.readable) ok = read_server(s, &finished);
+        if (!ok) disconnect(s, now, &finished);
       }
     }
-    resolve(std::move(resolutions));
+    resolve(std::move(finished));
   }
 }
 

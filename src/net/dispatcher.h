@@ -37,8 +37,7 @@
 #include "net/send_queue.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "runtime/service.h"
-#include "shard/sharded_control_plane.h"
+#include "shard/query_front_door.h"
 
 namespace tailguard::net {
 
@@ -61,13 +60,7 @@ struct DispatcherOptions {
   Policy policy = Policy::kTfEdf;
   /// Service classes ordered by priority (class 0 tightest).
   std::vector<ClassSpec> classes;
-  StreamingCdfModel::Options model_options = {
-      .histogram = {.min_value = 1e-3,
-                    .max_value = 1e6,
-                    .buckets_per_decade = 100,
-                    .decay_every = 0,
-                    .decay_factor = 0.5},
-      .refresh_every = 500};
+  StreamingCdfModel::Options model_options = {.refresh_every = 500};
   /// A task unanswered this long after submit counts as failed.
   TimeMs task_timeout_ms = 5000.0;
   TimeMs reconnect_initial_backoff_ms = 25.0;
@@ -81,11 +74,9 @@ struct DispatcherOptions {
   /// Candidates are the alive servers ranked by our in-flight count plus the
   /// daemon's last gossiped queue-depth gauge, whatever the policy.
   PlacementPolicyOptions placement;
-  /// Observer called once per submitted (admitted) query with the servers
-  /// its tasks landed on (explicit targets included), in task order. Runs
-  /// under the dispatcher lock — keep it cheap. Purely observational, for
-  /// the cross-backend placement parity tests.
-  std::function<void(std::span<const ServerId>)> placement_observer;
+  /// Called once per admitted query with its servers (see
+  /// QueryFrontDoor::Observer); keep it cheap. For the parity tests.
+  QueryFrontDoor::Observer placement_observer;
   std::string name = "tailguard-dispatcher";
 };
 
@@ -188,34 +179,26 @@ class RemoteDispatcher {
     ServerId server = 0;
   };
 
-  struct PendingQuery {
-    std::promise<QueryResult> promise;
-    QueryResult result;
-  };
-
-  /// A future to resolve once mu_ is released.
-  using Resolution = std::pair<std::promise<QueryResult>, QueryResult>;
-
   void net_loop() TG_EXCLUDES(mu_);
   void start_connect(ServerId server, TimeMs now) TG_REQUIRES(mu_);
   void disconnect(ServerId server, TimeMs now,
-                  std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
-  bool read_server(ServerId server, std::vector<Resolution>* resolutions)
+                  std::vector<FinishedQuery>* finished) TG_REQUIRES(mu_);
+  bool read_server(ServerId server, std::vector<FinishedQuery>* finished)
       TG_REQUIRES(mu_);
   void handle_frame(ServerId server, const Frame& frame,
-                    std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
-  /// Records one finished/failed task; appends a resolution when it was the
-  /// query's last.
-  void finish_task(TaskId task, bool missed, bool failed,
-                   std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
-  void expire_timeouts(TimeMs now, std::vector<Resolution>* resolutions)
+                    std::vector<FinishedQuery>* finished) TG_REQUIRES(mu_);
+  /// Records one answered or failed task of `query`; appends the query when
+  /// it was its last, to resolve once mu_ is released.
+  void finish_task(QueryId query, bool missed, bool failed,
+                   std::vector<FinishedQuery>* finished) TG_REQUIRES(mu_);
+  void expire_timeouts(TimeMs now, std::vector<FinishedQuery>* finished)
       TG_REQUIRES(mu_);
   /// Flushes `conn` on a caller's thread while the net loop waits. Returns
   /// whether the loop must be woken — to arm EPOLLOUT after a partial
   /// write, or to disconnect after a send error.
   bool send_now(ServerConn& conn) TG_REQUIRES(mu_);
   std::size_t alive_servers_locked() const TG_REQUIRES(mu_);
-  static void resolve(std::vector<Resolution> resolutions);
+  static void resolve(std::vector<FinishedQuery> finished);
 
   // tg-lint: allow(guarded-member): immutable after construction.
   DispatcherOptions options_;
@@ -233,12 +216,9 @@ class RemoteDispatcher {
   mutable Mutex mu_;
   CondVar alive_cv_;
   std::vector<ServerConn> servers_ TG_GUARDED_BY(mu_);
-  /// The shared query-handler pipeline (shard/sharded_control_plane.h, one
-  /// shard): admission, Eq. 6/7 budgets, t_D and ordering keys, query
-  /// tracking, per-class miss accounting, online model updates. Incoming
-  /// gossip deltas feed it via the absorb path.
-  ShardedControlPlane control_ TG_GUARDED_BY(mu_);
-  std::unordered_map<QueryId, PendingQuery> pending_ TG_GUARDED_BY(mu_);
+  /// The query handler shared with the in-process runtime, one shard.
+  /// Incoming gossip deltas feed its plane via the absorb path.
+  QueryFrontDoor door_ TG_GUARDED_BY(mu_);
   std::unordered_map<TaskId, InFlightTask> in_flight_ TG_GUARDED_BY(mu_);
   /// (deadline, task) in submit order, which is deadline order: every
   /// deadline is t0 plus the same timeout. Answered tasks are popped off

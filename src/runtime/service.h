@@ -25,13 +25,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "core/admission.h"
 #include "runtime/worker.h"
-#include "shard/sharded_control_plane.h"
+#include "shard/query_front_door.h"
 
 namespace tailguard {
 
@@ -40,14 +39,8 @@ struct ServiceOptions {
   Policy policy = Policy::kTfEdf;
   /// Service classes ordered by priority (class 0 tightest, as PRIQ expects).
   std::vector<ClassSpec> classes;
-  /// Streaming-model knobs for the per-worker CDFs.
-  StreamingCdfModel::Options model_options = {
-      .histogram = {.min_value = 1e-3,
-                    .max_value = 1e6,
-                    .buckets_per_decade = 100,
-                    .decay_every = 0,
-                    .decay_factor = 0.5},
-      .refresh_every = 500};
+  /// Streaming-model knobs for the per-worker CDFs (default histogram).
+  StreamingCdfModel::Options model_options = {.refresh_every = 500};
   /// Admission control; disabled when unset.
   std::optional<AdmissionOptions> admission;
   std::uint64_t seed = 42;
@@ -62,11 +55,9 @@ struct ServiceOptions {
   RouterKind shard_router = RouterKind::kRoundRobin;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
   PlacementPolicyOptions placement;
-  /// Observer called once per admitted query with the workers its tasks
-  /// landed on (explicit targets included), in task order. Runs under the
-  /// shard lock — keep it cheap. Purely observational, for the
-  /// cross-backend placement parity tests.
-  std::function<void(std::span<const ServerId>)> placement_observer;
+  /// Called once per admitted query with its workers (see
+  /// QueryFrontDoor::Observer); keep it cheap. For the parity tests.
+  QueryFrontDoor::Observer placement_observer;
 };
 
 /// One task of a submitted query.
@@ -76,20 +67,6 @@ struct ServiceTaskSpec {
   std::optional<ServerId> worker;
   std::function<void()> work;
   TimeMs simulated_service_ms = 0.0;
-};
-
-struct QueryResult {
-  QueryId id = 0;
-  ClassId cls = 0;
-  std::uint32_t fanout = 0;
-  bool admitted = true;
-  TimeMs latency_ms = 0.0;       ///< submit -> last merge
-  TimeMs deadline_budget_ms = 0.0;  ///< T_b assigned at submit
-  std::uint32_t tasks_missed_deadline = 0;
-  /// Tasks that produced no result (remote server died or timed out). Always
-  /// 0 for the in-process runtime; the remote dispatcher counts a query as
-  /// degraded, not hung, when a task server fails mid-query.
-  std::uint32_t tasks_failed = 0;
 };
 
 class TailGuardService {
@@ -138,27 +115,8 @@ class TailGuardService {
   std::shared_ptr<const CdfModel> worker_model(ServerId worker) const;
 
  private:
-  struct PendingQuery {
-    std::promise<QueryResult> promise;
-    QueryResult result;
-  };
-
-  /// One query-handler shard: its mutex guards both the pending map below
-  /// and every control-plane call made with this shard's index (sound
-  /// because all of ShardedControlPlane's mutable state is per-shard).
-  /// Cross-shard operations — delta-sync, aggregated counters — take every
-  /// shard's mutex in index order (see lock_all / maybe_sync).
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<QueryId, PendingQuery> pending TG_GUARDED_BY(mu);
-  };
-
   void on_task_complete(ServerId worker, const RuntimeTask& task,
                         TimeMs dequeue_ms, TimeMs complete_ms);
-  /// Caller must hold the submitting shard's mutex (which one is a runtime
-  /// value, so the requirement is not expressible as a TSA capability —
-  /// control_ state is per-shard as documented on Shard).
-  std::vector<ServerId> pick_workers(std::uint32_t shard, std::size_t count);
   /// N-ary ordered acquisition through a dynamic container: inherently
   /// outside TSA's static capability model, like std::lock. unique_lock
   /// works on the annotated Mutex (a Lockable); the std header is simply
@@ -173,21 +131,23 @@ class TailGuardService {
   // tg-lint: allow(guarded-member): immutable after construction.
   std::chrono::steady_clock::time_point epoch_;
 
-  /// The query-handler pipeline (shard/sharded_control_plane.h): admission,
-  /// Eq. 6/7 budgets, t_D and ordering keys, query tracking, per-class miss
-  /// accounting, online model updates — N replicas with delta-sync. Locking
-  /// per shard, as documented on Shard.
-  ShardedControlPlane control_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The query handler over N control-plane replicas with delta-sync. Calls
+  /// on shard i hold shard_mu_[i] (all its mutable state is per-shard; i is
+  /// a runtime value, so TSA cannot express it); cross-shard ones hold every
+  /// shard's mutex in index order (lock_all).
+  // tg-lint: allow(guarded-member): guarded per shard, as documented above.
+  QueryFrontDoor door_;
+  std::vector<std::unique_ptr<Mutex>> shard_mu_;
   std::atomic<TaskId> next_task_id_{0};
   /// Routing key source: one monotone counter across all submitters.
   std::atomic<std::uint64_t> submit_seq_{0};
-  /// Racy mirror of control_.next_sync_at(), so non-due completions skip the
-  /// all-shard lock.
+  /// Racy mirror of the plane's next_sync_at(), so non-due completions skip
+  /// the all-shard lock.
   std::atomic<double> next_sync_hint_;
 
   // Workers last: their threads must stop before the state above dies, and
   // member destruction order (reverse declaration) guarantees it.
+  // tg-lint: allow(guarded-member): immutable after construction.
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -22,13 +22,11 @@
 // Thread safety: none here, deliberately — this class owns no mutex, so the
 // tg_lint guarded-member rule and the TSA annotation layer
 // (common/thread_annotations.h) have nothing to check in it. Single-threaded
-// callers (sim) just call in. The threaded runtime guards shard i's calls
-// with its own per-shard tailguard::Mutex (TailGuardService::Shard::mu,
-// whose `pending` map is TG_GUARDED_BY it) — sound because every mutable
-// member here is per-shard — and takes *all* shard locks (in index order,
-// via lock_all()) around maybe_sync()/aggregated accessors, which touch
-// every shard. The dispatcher runs a 1-shard plane entirely under its mu_
-// (TG_GUARDED_BY on the control_ member).
+// callers (sim) just call in. The live backends reach it through
+// QueryFrontDoor: the runtime holds shard i's mutex for shard i's calls —
+// sound because every mutable member here is per-shard — and every shard's
+// (in index order) around maybe_sync()/aggregated accessors; the dispatcher
+// runs one shard under its mu_.
 #pragma once
 
 #include <cstdint>

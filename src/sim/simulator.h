@@ -165,8 +165,9 @@ struct SimConfig {
 
   /// Task placement: fills `servers` with `fanout` distinct server ids.
   /// Default: uniform distinct sampling over all servers (fanout == N means
-  /// all servers, the OLDI case). Takes precedence over `placement_policy`
-  /// (tests pin exact placements through it).
+  /// all servers, the OLDI case). Takes precedence over `placement_policy`.
+  /// The one class-aware route: sas/testbed.cc places Fig. 9's classes
+  /// through it, and tests pin exact placements with it.
   std::function<void(Rng&, ClassId, std::uint32_t, std::vector<ServerId>&)>
       placement;
 

@@ -1,5 +1,5 @@
 // Unit tests for src/common: RNG, statistics, empirical CDF, streaming
-// histogram, moving window.
+// histogram.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 
 #include "common/check.h"
 #include "common/empirical_cdf.h"
-#include "common/moving_window.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/streaming_histogram.h"
@@ -445,46 +444,6 @@ TEST(StreamingHistogram, LookupsBitIdenticalToScanOracle) {
   }
   EXPECT_GT(probes, 300000u);
   EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
-}
-
-// ----------------------------------------------------------- moving window
-
-TEST(MovingWindowRatio, RatioOverPartialWindow) {
-  MovingWindowRatio w(10);
-  w.record(true);
-  w.record(false);
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.5);
-  EXPECT_EQ(w.size(), 2u);
-}
-
-TEST(MovingWindowRatio, OldEventsExpire) {
-  MovingWindowRatio w(4);
-  for (int i = 0; i < 4; ++i) w.record(true);
-  EXPECT_DOUBLE_EQ(w.ratio(), 1.0);
-  for (int i = 0; i < 4; ++i) w.record(false);
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.0);
-}
-
-TEST(MovingWindowRatio, SlidesOneAtATime) {
-  MovingWindowRatio w(4);
-  w.record(true);
-  w.record(true);
-  w.record(false);
-  w.record(false);
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.5);
-  w.record(false);  // evicts a true
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.25);
-  w.record(false);  // evicts the other true
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.0);
-}
-
-TEST(MovingWindowRatio, EmptyRatioIsZero) {
-  MovingWindowRatio w(5);
-  EXPECT_DOUBLE_EQ(w.ratio(), 0.0);
-}
-
-TEST(MovingWindowRatio, RejectsZeroCapacity) {
-  EXPECT_THROW(MovingWindowRatio(0), CheckFailure);
 }
 
 }  // namespace

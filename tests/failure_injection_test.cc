@@ -1,13 +1,12 @@
 // Failure-injection and degradation tests: brownouts, stragglers and load
-// spikes through the service_scale hook, plus the extrapolated Tailbench
-// models' sanity. Invariants must hold under every injected fault.
+// spikes through the service_scale hook. Invariants must hold under every
+// injected fault.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "sim/cluster.h"
 #include "sim/experiment.h"
 #include "workloads/tailbench.h"
-#include "workloads/tailbench_extra.h"
 
 namespace tailguard {
 namespace {
@@ -114,56 +113,6 @@ TEST(FailureInjection, OnlineEstimatorSurvivesPermanentSlowdown) {
   const SimResult r = run_simulation(cfg);
   EXPECT_EQ(r.queries_admitted, cfg.num_queries);
   EXPECT_LT(r.task_deadline_miss_ratio, 0.25);
-}
-
-// ------------------------------------------------ extrapolated workloads
-
-class ExtraWorkloads : public ::testing::TestWithParam<TailbenchExtraApp> {};
-
-TEST_P(ExtraWorkloads, ModelIsWellFormed) {
-  const auto model = make_extra_service_time_model(GetParam());
-  ASSERT_NE(model, nullptr);
-  EXPECT_GT(model->mean(), 0.0);
-  EXPECT_LT(model->quantile(0.5), model->quantile(0.99));
-  EXPECT_LT(model->quantile(0.99), model->quantile(0.999));
-  // Quantile/CDF round trip.
-  for (double p : {0.3, 0.9, 0.99}) {
-    EXPECT_NEAR(model->cdf(model->quantile(p)), p, 1e-9);
-  }
-}
-
-TEST_P(ExtraWorkloads, RunsThroughTheSimulator) {
-  SimConfig cfg;
-  cfg.num_servers = 10;
-  cfg.policy = Policy::kTfEdf;
-  cfg.fanout = std::make_shared<FixedFanout>(4);
-  cfg.service_time = make_extra_service_time_model(GetParam());
-  // SLO scaled to the model: x99u(4) plus headroom.
-  DistributionCdfModel model(cfg.service_time);
-  cfg.classes = {{.slo_ms = 3.0 * model.quantile(0.999), .percentile = 99.0}};
-  cfg.num_queries = 5000;
-  cfg.seed = 9;
-  set_load(cfg, 0.3);
-  const SimResult r = run_simulation(cfg);
-  EXPECT_EQ(r.queries_admitted, 5000u);
-  EXPECT_TRUE(r.all_slos_met(0.25));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllExtraApps, ExtraWorkloads,
-                         ::testing::ValuesIn(kAllTailbenchExtraApps),
-                         [](const auto& info) {
-                           std::string n = to_string(info.param);
-                           n.erase(std::remove(n.begin(), n.end(), '-'),
-                                   n.end());
-                           return n;
-                         });
-
-TEST(ExtraWorkloads, SuiteSpansFourOrdersOfMagnitude) {
-  const double silo =
-      make_extra_service_time_model(TailbenchExtraApp::kSilo)->mean();
-  const double sphinx =
-      make_extra_service_time_model(TailbenchExtraApp::kSphinx)->mean();
-  EXPECT_GT(sphinx / silo, 1e4);
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 //    nothing.
 //  * The query tracker stays bounded on a long-running service: its id
 //    table drops the dead prefix instead of growing 4 bytes per query.
+//  * A warm query front door (the runtime's and the dispatcher's shared
+//    admit -> place -> register -> merge path) allocates only each query's
+//    promise.
 //  * The event set's two backings (sim/event_queue.h) are interchangeable:
 //    dense and heap pop the identical (time, key) sequence under randomized
 //    pushes, time ties and interleaved pops at several cluster sizes.
@@ -21,16 +24,21 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <new>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/alloc_probe.h"
 #include "common/rng.h"
 #include "core/admission.h"
+#include "core/cdf_model.h"
 #include "core/query_tracker.h"
 #include "dist/standard.h"
+#include "shard/query_front_door.h"
 #include "sim/event_queue.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -61,7 +69,11 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: GCC 12 inlines it next to an inlined operator new and then
+// reports the malloc/free pair as mismatched (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
@@ -227,6 +239,91 @@ TEST(HotPathAlloc, QueryTrackerDoesNotGrowWithQueriesServed) {
   EXPECT_EQ(allocs, 0u) << "tracker allocations grow with queries served";
   EXPECT_LE(tracker.in_flight(), 64u);
   EXPECT_EQ(tracker.started(), 1100000u);
+}
+
+TEST(HotPathAlloc, WarmFrontDoorAllocatesOnlyThePromise) {
+  // The live backends' per-query path: admit_and_place -> begin ->
+  // finish_task, with admission on, an explicit target in every fifth query
+  // and at most 64 queries in flight, completed out of order. Once warm, the
+  // pending slots, placement scratch, tracker, budget cache and admission
+  // window are all reused, so a query allocates only its promise's shared
+  // state (which libstdc++ makes in two blocks: the state and its result).
+  constexpr ServerId kServers = 8;
+  std::vector<std::shared_ptr<CdfModel>> models;
+  for (ServerId s = 0; s < kServers; ++s)
+    models.push_back(std::make_shared<StreamingCdfModel>());
+  ControlPlaneOptions options;
+  options.classes = {{.slo_ms = 10.0, .percentile = 99.0}};
+  // A window the warm-up fills: 5 simulated ms is ~1,250 dequeues here.
+  options.admission = AdmissionOptions{.window_tasks = 4000, .window_ms = 5.0};
+  std::uint64_t observed = 0;
+  QueryFrontDoor door(
+      ShardingOptions{}, options, models,
+      [&observed](std::span<const ServerId>) { ++observed; });
+  const std::vector<double> profile(200, 1.0);
+  for (ServerId s = 0; s < kServers; ++s)
+    door.control().seed_profile(s, profile);
+
+  struct Task {
+    std::optional<ServerId> server;
+  };
+  struct InFlight {
+    QueryId id = 0;
+    std::uint32_t fanout = 0;
+    std::future<QueryResult> future;
+  };
+  std::vector<Task> tasks;
+  tasks.reserve(4);
+  std::vector<InFlight> in_flight;
+  in_flight.reserve(64);
+  TimeMs now = 0.0;
+  std::uint64_t merged = 0;
+  const auto cycle = [&](std::uint64_t i) {
+    now += 0.01;
+    tasks.assign(1 + i % 4, Task{});
+    if (i % 5 == 0) tasks[0].server = static_cast<ServerId>(i % kServers);
+    std::vector<PlacementCandidate>& view = door.candidate_view(0);
+    for (ServerId s = 0; s < kServers; ++s) view.emplace_back((i + s) % 3, s);
+    const std::span<const ServerId> placed =
+        door.admit_and_place(0, now, tasks, &Task::server);
+    ASSERT_EQ(placed.size(), tasks.size());
+    QueryFrontDoor::Begun begun =
+        door.begin(0, now, 0, placed, /*budget_override=*/std::nullopt);
+    in_flight.push_back(
+        {begun.plan.id, begun.plan.fanout, std::move(begun.future)});
+    if (in_flight.size() == 64 || i % 3 == 0) {
+      const std::size_t pick = (i * 7) % in_flight.size();
+      InFlight& q = in_flight[pick];
+      std::optional<FinishedQuery> done;
+      for (std::uint32_t t = 0; t < q.fanout; ++t) {
+        ASSERT_FALSE(done.has_value());
+        done = door.finish_task(q.id, now, now + 0.5, /*missed=*/false,
+                                /*failed=*/false);
+      }
+      ASSERT_TRUE(done.has_value());
+      done->promise.set_value(done->result);
+      merged += q.future.get().fanout == q.fanout ? 1 : 0;
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  };
+  std::uint64_t i = 0;
+  for (; i < 20000; ++i) cycle(i);  // warm-up: scratch and tables reach size
+
+  const std::uint64_t promise_allocs = [] {
+    const std::uint64_t before = alloc_count();
+    std::promise<QueryResult> promise;
+    return alloc_count() - before;
+  }();
+  ASSERT_GE(promise_allocs, 1u);
+  constexpr std::uint64_t kQueries = 10000;
+  const std::uint64_t before = alloc_count();
+  for (; i < 20000 + kQueries; ++i) cycle(i);
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_LE(allocs, kQueries * promise_allocs)
+      << "the front door allocates more than each query's promise";
+  EXPECT_EQ(observed, i);
+  EXPECT_EQ(door.control().queries_rejected(), 0u);
+  EXPECT_EQ(merged + in_flight.size(), i);
 }
 
 TEST(HotPathAlloc, NoHookMeansZeroReported) {

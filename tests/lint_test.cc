@@ -230,6 +230,37 @@ TEST(LintTest, PlacementTokensLegalOutsideBackends) {
   }
 }
 
+TEST(LintTest, FrontDoorBypassFiresInRuntime) {
+  const auto diags =
+      lint_fixture("bad_front_door.cc", "src/runtime/bad_front_door.cc");
+  EXPECT_EQ(rules_of(diags), std::set<std::string>{"control-plane-boundary"});
+  // begin_query, record_task_dequeue, complete_task.
+  EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 3);
+}
+
+TEST(LintTest, FrontDoorBypassFiresInNet) {
+  const auto diags =
+      lint_fixture("bad_front_door.cc", "src/net/bad_front_door.cc");
+  EXPECT_EQ(rules_of(diags), std::set<std::string>{"control-plane-boundary"});
+  EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 3);
+}
+
+TEST(LintTest, LifecycleCallsLegalInSim) {
+  EXPECT_TRUE(
+      lint_fixture("bad_front_door.cc", "src/sim/bad_front_door.cc").empty());
+}
+
+TEST(LintTest, LifecycleCallsLegalInSas) {
+  EXPECT_TRUE(
+      lint_fixture("bad_front_door.cc", "src/sas/bad_front_door.cc").empty());
+}
+
+TEST(LintTest, LifecycleCallsLegalInShard) {
+  EXPECT_TRUE(
+      lint_fixture("bad_front_door.cc", "src/shard/query_front_door.cc")
+          .empty());
+}
+
 TEST(LintTest, GoodPlacementIsClean) {
   EXPECT_TRUE(
       lint_fixture("good_placement.cc", "src/net/good_placement.cc").empty());

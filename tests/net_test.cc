@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -865,6 +866,10 @@ TEST(RemoteDispatcher, AdmissionControlShedsLoadBeforeTheWire) {
   admission.miss_ratio_threshold = 0.0005;
   admission.mode = AdmissionMode::kOnOff;
   options.admission = admission;
+  std::size_t observed = 0;
+  options.placement_observer = [&observed](std::span<const ServerId>) {
+    ++observed;
+  };
   net::RemoteDispatcher dispatcher(options);
   ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
 
@@ -892,8 +897,10 @@ TEST(RemoteDispatcher, AdmissionControlShedsLoadBeforeTheWire) {
   EXPECT_EQ(dispatcher.completed_queries(), 1u);
   EXPECT_EQ(dispatcher.failed_tasks(), 0u);
   // Rejected queries never hit the wire: the daemon still saw only the
-  // poison task.
+  // poison task. Nor were they placed or observed.
   EXPECT_EQ(fleet[0]->tasks_executed(), 1u);
+  EXPECT_EQ(dispatcher.placement_stats().decisions, 1u);
+  EXPECT_EQ(observed, 1u);
 }
 
 // The acceptance scenario: a 4-daemon fleet under TF-EDFQ on the quickstart

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -169,6 +170,42 @@ TEST(Service, ManyConcurrentQueriesAllComplete) {
   EXPECT_EQ(svc.rejected_queries(), 0u);
 }
 
+TEST(Service, ShardedHandlersMergeEveryQueryOnItsShard) {
+  // Four handler shards with delta-sync, fed by four submitting threads:
+  // each shard's pending queries and placement scratch are its own, so every
+  // query resolves once, with its own fanout, from the shard its id names.
+  ServiceOptions opt = basic_options(Policy::kTfEdf, 4);
+  opt.num_handler_shards = 4;
+  opt.shard_sync_interval_ms = 1.0;
+  TailGuardService svc(opt);
+  constexpr int kPerThread = 100;
+  std::vector<std::vector<QueryResult>> results(4);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&svc, &results, t] {
+      std::vector<std::future<QueryResult>> futures;
+      for (int q = 0; q < kPerThread; ++q) {
+        std::vector<ServiceTaskSpec> tasks(1 + (t + q) % 3);
+        futures.push_back(svc.submit(q % 2, std::move(tasks)));
+      }
+      for (auto& f : futures) results[t].push_back(f.get());
+    });
+  }
+  for (auto& th : submitters) th.join();
+  std::vector<int> per_shard(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    for (int q = 0; q < kPerThread; ++q) {
+      const QueryResult& r = results[t][q];
+      EXPECT_TRUE(r.admitted);
+      EXPECT_EQ(r.fanout, 1u + (t + q) % 3);
+      ++per_shard[r.id % 4];
+    }
+  }
+  // The round-robin router spreads the 400 submissions evenly.
+  for (int n : per_shard) EXPECT_EQ(n, kPerThread);
+  EXPECT_EQ(svc.completed_queries(), 4u * kPerThread);
+}
+
 TEST(Service, ExplicitWorkerPlacementHonoured) {
   ServiceOptions opt = basic_options();
   TailGuardService svc(opt);
@@ -200,6 +237,40 @@ TEST(Service, FanoutBeyondWorkersThrows) {
   TailGuardService svc(basic_options(Policy::kTfEdf, 2));
   std::vector<ServiceTaskSpec> tasks(3);  // > 2 workers, no explicit target
   EXPECT_THROW(svc.submit(0, std::move(tasks)), CheckFailure);
+}
+
+TEST(Service, ThrowingSubmitLeavesNoTrace) {
+  // Validation comes before admission: a submit that throws must not count
+  // as admitted or draw the proportional admission coin from the control
+  // plane's Rng, which placement draws from too. A service that took one
+  // must place every later query exactly like a fresh one.
+  enum class Bad { kNone, kTarget, kFanout };
+  const auto placements = [](Bad bad) {
+    std::vector<std::vector<ServerId>> seen;
+    ServiceOptions opt = basic_options(Policy::kTfEdf, 4);
+    opt.seed = 7;
+    opt.placement = {.kind = PlacementPolicyKind::kPowerOfD, .power_d = 2};
+    opt.admission = AdmissionOptions{.mode = AdmissionMode::kProportional};
+    opt.placement_observer = [&seen](std::span<const ServerId> servers) {
+      seen.emplace_back(servers.begin(), servers.end());
+    };
+    TailGuardService svc(opt);
+    svc.seed_profile(std::vector<double>(100, 1.0));  // no task runs late
+    if (bad != Bad::kNone) {
+      std::vector<ServiceTaskSpec> tasks(bad == Bad::kFanout ? 5 : 2);
+      if (bad == Bad::kTarget) tasks[1].worker = 4;
+      EXPECT_THROW(svc.submit(0, std::move(tasks)), CheckFailure);
+    }
+    for (int q = 0; q < 4; ++q) {
+      std::vector<ServiceTaskSpec> tasks(2);
+      EXPECT_TRUE(svc.submit(0, std::move(tasks)).get().admitted);
+    }
+    return seen;
+  };
+  const auto fresh = placements(Bad::kNone);
+  ASSERT_EQ(fresh.size(), 4u);
+  EXPECT_EQ(placements(Bad::kTarget), fresh);
+  EXPECT_EQ(placements(Bad::kFanout), fresh);
 }
 
 TEST(Service, SeedProfileSetsBudgets) {
@@ -336,6 +407,10 @@ TEST(Service, AdmissionRejectsUnderOverload) {
   opt.admission = AdmissionOptions{.window_tasks = 50,
                                    .window_ms = 200.0,
                                    .miss_ratio_threshold = 0.05};
+  std::size_t observed = 0;
+  opt.placement_observer = [&observed](std::span<const ServerId>) {
+    ++observed;
+  };
   TailGuardService svc(opt);
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 300; ++i) {
@@ -352,8 +427,10 @@ TEST(Service, AdmissionRejectsUnderOverload) {
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(svc.rejected_queries(), rejected);
   EXPECT_EQ(svc.completed_queries(), 300u - rejected);
-  // Admission runs before placement: a rejected query is never placed.
+  // Admission runs before placement: a rejected query is never placed or
+  // observed.
   EXPECT_EQ(svc.placement_stats().decisions, 300u - rejected);
+  EXPECT_EQ(observed, 300u - rejected);
 }
 
 TEST(Service, EdfOrderObservedUnderContention) {

@@ -479,6 +479,12 @@ void check_control_plane_boundary(const FileCtx& ctx) {
                          ctx.path == "src/shard/sharded_control_plane.cc";
   static constexpr std::array<std::string_view, 3> kComponents = {
       "DeadlineEstimator", "QueryTracker", "AdmissionController"};
+  // The live backends share one query lifecycle through
+  // shard/query_front_door.h; the simulator, the SaS model and src/shard
+  // still drive these plane calls directly.
+  const bool live = ctx.in_dir("src/runtime/") || ctx.in_dir("src/net/");
+  static constexpr std::array<std::string_view, 3> kLifecycleCalls = {
+      "begin_query", "complete_task", "record_task_dequeue"};
   for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
     const std::string_view line = ctx.code_lines[i];
     bool fired = false;
@@ -508,6 +514,23 @@ void check_control_plane_boundary(const FileCtx& ctx) {
       fired = true;
     }
     if (fired) continue;
+    if (live) {
+      for (const auto token : kLifecycleCalls) {
+        if (find_word(line, token) != std::string_view::npos) {
+          ctx.report(static_cast<int>(i) + 1, "control-plane-boundary",
+                     "'" + std::string(token) +
+                         "' called in a live backend; the runtime and the "
+                         "dispatcher run a query's lifecycle through "
+                         "QueryFrontDoor (admit_and_place, begin, "
+                         "finish_task in shard/query_front_door.h), so "
+                         "admission, registration and merge are written "
+                         "once, not per backend");
+          fired = true;
+          break;
+        }
+      }
+      if (fired) continue;
+    }
     // Placement is pluggable behind QueryControlPlane::place(); a backend
     // that names a concrete policy class has hard-wired one strategy and
     // broken PlacementPolicyOptions selection. The facade is NOT exempt: it
@@ -872,7 +895,9 @@ std::string rule_summary() {
       "(cross-shard state flows through StateSyncBus deltas only); "
       "concrete placement policy classes (LeastLoadedPolicy/PowerOfDPolicy) "
       "are off-limits everywhere in those dirs, facade included — placement "
-      "is selected via PlacementPolicyOptions\n"
+      "is selected via PlacementPolicyOptions; src/runtime and src/net run "
+      "the query lifecycle through shard/query_front_door.h, never "
+      "begin_query/complete_task/record_task_dequeue\n"
       "hot-path-map        no std::unordered_map / std::map in src/sim or "
       "src/core; the hot path uses SlabMap / SlabHashCache "
       "(common/slab_map.h) — node-based maps allocate per entry\n"
