@@ -1,10 +1,6 @@
 #include "net/dispatcher.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 
 #include "common/check.h"
 
@@ -232,14 +228,6 @@ std::shared_ptr<const CdfModel> RemoteDispatcher::server_model(
   return door_.control().model_of(/*shard=*/0, server).clone();
 }
 
-std::size_t RemoteDispatcher::gossip_capable_servers() const {
-  MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& conn : servers_)
-    n += conn.state == ConnState::kAlive && conn.gossip_capable;
-  return n;
-}
-
 std::uint64_t RemoteDispatcher::gossip_deltas_absorbed() const {
   MutexLock lock(mu_);
   return gossip_deltas_absorbed_;
@@ -337,8 +325,7 @@ void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
       std::min(conn.backoff_ms * 2.0, options_.reconnect_max_backoff_ms);
   conn.in_flight = 0;
   conn.send_failed = false;
-  // A restarted daemon restarts its gossip capability and seq; forget both.
-  conn.gossip_capable = false;
+  // A restarted daemon restarts its gossip seq; forget it.
   conn.last_gossip_seq = 0;
   conn.gossip_queue_depth = 0;
 
@@ -357,22 +344,7 @@ void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
 bool RemoteDispatcher::read_server(ServerId server,
                                    std::vector<FinishedQuery>* finished) {
   ServerConn& conn = servers_[server];
-  std::uint8_t buf[16 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.in.append(buf, static_cast<std::size_t>(n));
-      // A short read drained the socket; skip the recv that would only
-      // return EAGAIN. Level-triggered polling reports any later bytes.
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
-    } else if (n == 0) {
-      return false;
-    } else {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-  }
+  if (!conn.in.fill(conn.fd.get())) return false;
   while (auto frame = conn.in.next()) handle_frame(server, *frame, finished);
   return conn.in.error().empty();
 }
@@ -405,19 +377,6 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       finish_task(query, msg.missed_deadline, /*failed=*/false, finished);
       break;
     }
-    case MsgType::kModelSync: {
-      ModelSyncMsg sync;
-      if (!decode(frame, &sync)) break;
-      for (double s : sync.samples_ms)
-        door_.control().observe_post_queuing_on(/*shard=*/0, server, s);
-      break;
-    }
-    case MsgType::kGossipHello: {
-      GossipHelloMsg hello;
-      if (decode(frame, &hello) && hello.gossip_version == 1)
-        conn.gossip_capable = true;
-      break;
-    }
     case MsgType::kGossipDelta: {
       GossipDeltaMsg msg;
       if (!decode(frame, &msg)) break;
@@ -430,9 +389,10 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       }
       conn.last_gossip_seq = msg.delta.seq;
       // The daemon doesn't know which ServerId this connection is on our
-      // side; every entry rebinds to `server`. Samples are completions that
-      // *other* dispatchers' TaskDones carried — our own never ride gossip,
-      // so each observation reaches this model exactly once.
+      // side; every entry rebinds to `server`. Samples are completions no
+      // TaskDone brought us: other dispatchers' tasks, or, in a rejoin
+      // backfill, tasks whose owner connection was gone. Our own answered
+      // tasks never ride a delta, so each reaches this model once.
       for (const auto& entry : msg.delta.servers) {
         for (double s : entry.samples_ms)
           door_.control().observe_post_queuing_on(/*shard=*/0, server, s);

@@ -14,7 +14,8 @@
 //     queries complete with `tasks_failed` counts instead of hanging;
 //   * per-task timeouts bound the wait on a wedged-but-connected server;
 //   * reconnects use exponential backoff, and a rejoining server backfills
-//     the model via ModelSync.
+//     the model: its first GossipDelta carries the samples of tasks that
+//     finished while their owner was disconnected.
 #pragma once
 
 #include <atomic>
@@ -125,8 +126,7 @@ class RemoteDispatcher {
   /// pass.)
   std::shared_ptr<const CdfModel> server_model(ServerId server) const;
 
-  /// Connected servers that announced GossipHello (0 in a pre-gossip fleet).
-  std::size_t gossip_capable_servers() const;
+  /// GossipDelta frames absorbed, rejoin backfills included.
   std::uint64_t gossip_deltas_absorbed() const;
   std::uint64_t gossip_duplicates_dropped() const;
 
@@ -161,10 +161,6 @@ class RemoteDispatcher {
     TimeMs backoff_ms = 0.0;
     std::size_t in_flight = 0;
     std::optional<StatsResponseMsg> stats;
-    /// Set by GossipHello: this daemon streams GossipDelta frames. A daemon
-    /// that never announces (pre-gossip build, or gossip disabled) is served
-    /// by the ModelSync backfill alone — mixed fleets just work.
-    bool gossip_capable = false;
     /// Per-connection gossip dedup: daemons share no origin namespace, so
     /// (connection, seq) is the delta identity over the wire. Reset on
     /// reconnect (a restarted daemon restarts its seq).

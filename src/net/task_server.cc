@@ -1,14 +1,37 @@
 #include "net/task_server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <utility>
 
 #include "common/check.h"
 
 namespace tailguard::net {
+
+namespace {
+
+/// Cap on the samples one pending delta holds; later ones only count as
+/// dropped. Bounds the orphan backfill and each connection's gossip alike.
+constexpr std::size_t kMaxBufferedSamples = 4096;
+
+/// A daemon's deltas hold one entry. The daemon does not know which of the
+/// dispatcher's servers a connection reaches, so the entry's server id is a
+/// placeholder and receivers rebind it per connection.
+ShardDelta::ServerEntry& entry_of(ShardDelta& delta) {
+  if (delta.servers.empty()) delta.servers.emplace_back();
+  return delta.servers.front();
+}
+
+void add_sample(ShardDelta& delta, double sample_ms) {
+  ShardDelta::ServerEntry& entry = entry_of(delta);
+  if (entry.samples_ms.size() < kMaxBufferedSamples)
+    entry.samples_ms.push_back(sample_ms);
+  else
+    ++entry.samples_dropped;
+}
+
+}  // namespace
 
 TaskServer::TaskServer(TaskServerOptions options)
     : options_(std::move(options)), epoch_(std::chrono::steady_clock::now()) {
@@ -48,7 +71,7 @@ void TaskServer::stop() {
   wake_.wake();
   if (net_thread_.joinable()) net_thread_.join();
   // Drain the executors: queued tasks still run; their completions land in
-  // pending_samples_ (every connection is gone by now).
+  // orphaned_ (every connection is gone by now).
   for (auto& e : executors_) e->shutdown();
   MutexLock lock(mu_);
   conns_.clear();
@@ -97,22 +120,7 @@ void TaskServer::accept_new_connections() {
 }
 
 bool TaskServer::read_connection(std::uint64_t conn_id, Connection& conn) {
-  std::uint8_t buf[16 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.in.append(buf, static_cast<std::size_t>(n));
-      // A short read drained the socket; skip the recv that would only
-      // return EAGAIN. Level-triggered polling reports any later bytes.
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
-    } else if (n == 0) {
-      return false;  // peer closed
-    } else {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-  }
+  if (!conn.in.fill(conn.fd.get())) return false;
   while (auto frame = conn.in.next()) handle_frame(conn_id, conn, *frame);
   return conn.in.error().empty();
 }
@@ -131,20 +139,11 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
       ack.policy = static_cast<std::uint8_t>(options_.policy);
       ack.num_executors = static_cast<std::uint32_t>(options_.num_executors);
       encode_into(ack, conn.out.chunk());
-      // Backfill: post-queuing samples observed while disconnected.
-      if (!pending_samples_.empty()) {
-        ModelSyncMsg sync;
-        sync.samples_ms = std::move(pending_samples_);
-        pending_samples_.clear();
-        encode_into(sync, conn.out.chunk());
-      }
-      // Gossip capability announcement: a dispatcher that never sees this
-      // (gossip disabled, or an old daemon without the message type at all)
-      // falls back to the ModelSync path above.
-      if (options_.gossip_interval_ms > 0) {
-        GossipHelloMsg gossip;
-        encode_into(gossip, conn.out.chunk());
-      }
+      // Rejoin backfill: completions whose owner connection was gone leave
+      // as this connection's first delta, whatever the gossip period.
+      // Samples only: no dequeue counts, and no load gauge, which with
+      // gossip off nothing would ever refresh.
+      if (!orphaned_.empty()) send_delta(conn, orphaned_);
       conn.hello_done = true;
       break;
     }
@@ -213,9 +212,9 @@ void TaskServer::on_task_complete(ServerId executor,
     if (waiting_ && was_empty &&
         (executors_[executor]->queue_depth() > 0 || send_now(conn)))
       wake_.wake();
-  } else if (pending_samples_.size() < options_.max_buffered_samples) {
-    // No dispatcher to tell: keep the observation for the next ModelSync.
-    pending_samples_.push_back(msg.service_ms);
+  } else {
+    // No dispatcher to tell: the next connection's backfill carries it.
+    add_sample(orphaned_, msg.service_ms);
   }
   if (options_.gossip_interval_ms > 0) {
     // Every OTHER dispatcher learns of this completion via the next
@@ -223,12 +222,9 @@ void TaskServer::on_task_complete(ServerId executor,
     // skipping it keeps each observation exactly-once per dispatcher.
     for (auto& [id, other] : conns_) {
       if (id == origin.conn || !other.hello_done || other.dead) continue;
-      if (other.gossip_samples.size() < options_.max_buffered_samples)
-        other.gossip_samples.push_back(msg.service_ms);
-      else
-        ++other.gossip_samples_dropped;
-      ++other.gossip_dequeues_recorded;
-      if (missed) ++other.gossip_dequeues_missed;
+      add_sample(other.gossip, msg.service_ms);
+      ++other.gossip.dequeues_recorded;
+      if (missed) ++other.gossip.dequeues_missed;
     }
   }
 }
@@ -252,29 +248,20 @@ void TaskServer::maybe_gossip(TimeMs now) {
   const std::uint32_t depth = static_cast<std::uint32_t>(queue_depth());
   for (auto& [id, conn] : conns_) {
     if (!conn.hello_done || conn.dead || !conn.fd.valid()) continue;
-    GossipDeltaMsg msg;
-    msg.delta.seq = next_gossip_seq_++;
-    // The dispatcher knows which of its servers this connection reaches;
-    // the daemon doesn't, so the entry's server id is a placeholder and
-    // receivers rebind it per connection.
-    ShardDelta::ServerEntry entry;
-    entry.samples_ms = std::move(conn.gossip_samples);
-    entry.samples_dropped = conn.gossip_samples_dropped;
+    ShardDelta::ServerEntry& entry = entry_of(conn.gossip);
     entry.load_estimate = depth;
     entry.has_load = true;
-    msg.delta.servers.push_back(std::move(entry));
-    msg.delta.dequeues_recorded = conn.gossip_dequeues_recorded;
-    msg.delta.dequeues_missed = conn.gossip_dequeues_missed;
-    conn.gossip_samples.clear();
-    conn.gossip_samples_dropped = 0;
-    conn.gossip_dequeues_recorded = 0;
-    conn.gossip_dequeues_missed = 0;
-    encode_into(msg, conn.out.chunk());
-    ++gossip_deltas_sent_;
+    send_delta(conn, conn.gossip);
   }
   // Wall-clock re-arm (the daemon is not simulated): next boundary from now,
   // so a long idle stretch costs one round, not a backlog of empty ones.
   next_gossip_ms_ = now + options_.gossip_interval_ms;
+}
+
+void TaskServer::send_delta(Connection& conn, ShardDelta& delta) {
+  delta.seq = next_gossip_seq_++;
+  encode_into(GossipDeltaMsg{std::exchange(delta, {})}, conn.out.chunk());
+  ++gossip_deltas_sent_;
 }
 
 void TaskServer::flush_and_sweep_connections() {

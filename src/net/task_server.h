@@ -10,10 +10,12 @@
 //
 // Queuing deadlines arrive as durations relative to receipt and are stamped
 // against the server's local monotonic clock, so dispatcher and server never
-// need synchronised clocks. Completions for tasks whose connection has gone
-// away are buffered as post-queuing-time samples and shipped in a ModelSync
-// frame when a dispatcher (re)connects — the dispatcher's frozen CDF model
-// catches up on rejoin (paper §III.B.2's online updating, resumed).
+// need synchronised clocks. Every other observation travels as a GossipDelta,
+// one seq-numbered stream per connection. Completions for tasks whose
+// connection has gone away are buffered as post-queuing-time samples and
+// sent as the first GossipDelta of the next dispatcher to (re)connect — its
+// frozen CDF model catches up on rejoin (paper §III.B.2's online updating,
+// resumed).
 #pragma once
 
 #include <atomic>
@@ -45,16 +47,12 @@ struct TaskServerOptions {
   /// independently-queued executors.
   std::size_t num_executors = 1;
   std::string name = "tailguard-task-server";
-  /// Cap on post-queuing samples buffered for ModelSync while disconnected.
-  /// Also caps each connection's pending gossip sample buffer.
-  std::size_t max_buffered_samples = 4096;
-  /// Delta-gossip period (local-clock ms). When > 0 the server announces
-  /// GossipHello after the handshake and streams each dispatcher a periodic
-  /// GossipDelta of the completions *other* connections produced (samples,
-  /// miss-window increments) plus a queue-depth load gauge — the wire form
-  /// of shard/state_sync.h. 0 (the default) disables gossip entirely,
-  /// behaving exactly like a pre-gossip daemon: dispatchers then rely on the
-  /// ModelSync backfill alone.
+  /// Delta-gossip period (local-clock ms). When > 0 the server streams each
+  /// dispatcher a periodic GossipDelta of the completions *other*
+  /// connections produced (samples, miss-window increments) plus a
+  /// queue-depth load gauge — the wire form of shard/state_sync.h. 0 (the
+  /// default) disables gossip: a dispatcher then gets only its TaskDones
+  /// and, at Hello, the rejoin backfill.
   TimeMs gossip_interval_ms = 0.0;
 };
 
@@ -81,7 +79,7 @@ class TaskServer {
   std::uint64_t tasks_executed() const;
   std::uint64_t tasks_missed_deadline() const;
   std::size_t queue_depth() const;
-  /// GossipDelta frames queued so far (0 when gossip is disabled).
+  /// GossipDelta frames queued so far, rejoin backfills included.
   std::uint64_t gossip_deltas_sent() const;
 
  private:
@@ -97,14 +95,11 @@ class TaskServer {
     /// Marked instead of closing inline so the net loop's sweep can
     /// deregister the fd from the poller before the number is recycled.
     bool dead = false;
-    /// Gossip accumulation for THIS dispatcher: observations produced by
-    /// tasks that *other* connections submitted. The owning connection's own
+    /// What gossip owes THIS dispatcher: observations produced by tasks
+    /// that *other* connections submitted. The owning connection's own
     /// completions travel in its TaskDone frames — excluding them here is
     /// what keeps every sample exactly-once per dispatcher.
-    std::vector<double> gossip_samples;
-    std::uint64_t gossip_samples_dropped = 0;
-    std::uint64_t gossip_dequeues_recorded = 0;
-    std::uint64_t gossip_dequeues_missed = 0;
+    ShardDelta gossip;
   };
 
   /// Where a task came from, for routing its TaskDone.
@@ -138,6 +133,9 @@ class TaskServer {
   /// Emits one GossipDelta per live connection when the gossip boundary has
   /// passed, then re-arms. No-op while gossip is disabled.
   void maybe_gossip(TimeMs now) TG_REQUIRES(mu_);
+  /// The one way a delta leaves: stamps the next seq, queues `delta` on
+  /// `conn` as a GossipDelta and leaves `delta` empty.
+  void send_delta(Connection& conn, ShardDelta& delta) TG_REQUIRES(mu_);
   void on_task_complete(ServerId executor, const RuntimeTask& task,
                         TimeMs dequeue_ms, TimeMs complete_ms)
       TG_EXCLUDES(mu_);
@@ -167,7 +165,9 @@ class TaskServer {
   std::uint64_t next_conn_id_ TG_GUARDED_BY(mu_) = 1;
   std::unordered_map<TaskId, TaskOrigin> task_origin_ TG_GUARDED_BY(mu_);
   std::vector<Submission> submissions_ TG_GUARDED_BY(mu_);
-  std::vector<double> pending_samples_ TG_GUARDED_BY(mu_);
+  /// Samples of completions whose owner connection was gone: the next
+  /// connection's first delta.
+  ShardDelta orphaned_ TG_GUARDED_BY(mu_);
   std::uint64_t tasks_executed_ TG_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_missed_ TG_GUARDED_BY(mu_) = 0;
   /// Shared across connections: strictly increasing overall, hence strictly

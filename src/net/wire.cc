@@ -1,6 +1,9 @@
 #include "net/wire.h"
 
+#include <sys/socket.h>
+
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -154,13 +157,6 @@ void encode_into(const TaskDoneMsg& msg, std::vector<std::uint8_t>& out) {
   w.finish();
 }
 
-void encode_into(const ModelSyncMsg& msg, std::vector<std::uint8_t>& out) {
-  Writer w(out, MsgType::kModelSync);
-  w.u32(static_cast<std::uint32_t>(msg.samples_ms.size()));
-  for (double s : msg.samples_ms) w.f64(s);
-  w.finish();
-}
-
 void encode_into(const StatsRequestMsg&, std::vector<std::uint8_t>& out) {
   Writer w(out, MsgType::kStatsRequest);
   w.finish();
@@ -171,13 +167,6 @@ void encode_into(const StatsResponseMsg& msg, std::vector<std::uint8_t>& out) {
   w.u32(msg.queue_depth);
   w.u64(msg.tasks_executed);
   w.u64(msg.tasks_missed_deadline);
-  w.finish();
-}
-
-void encode_into(const GossipHelloMsg& msg, std::vector<std::uint8_t>& out) {
-  Writer w(out, MsgType::kGossipHello);
-  w.u32(msg.gossip_version);
-  w.u32(msg.origin);
   w.finish();
 }
 
@@ -219,16 +208,10 @@ std::vector<std::uint8_t> encode(const SubmitTaskMsg& msg) {
 std::vector<std::uint8_t> encode(const TaskDoneMsg& msg) {
   return encode_one(msg);
 }
-std::vector<std::uint8_t> encode(const ModelSyncMsg& msg) {
-  return encode_one(msg);
-}
 std::vector<std::uint8_t> encode(const StatsRequestMsg& msg) {
   return encode_one(msg);
 }
 std::vector<std::uint8_t> encode(const StatsResponseMsg& msg) {
-  return encode_one(msg);
-}
-std::vector<std::uint8_t> encode(const GossipHelloMsg& msg) {
   return encode_one(msg);
 }
 std::vector<std::uint8_t> encode(const GossipDeltaMsg& msg) {
@@ -269,24 +252,6 @@ bool decode(const Frame& frame, TaskDoneMsg* out) {
   return true;
 }
 
-bool decode(const Frame& frame, ModelSyncMsg* out) {
-  if (!expect_type(frame, MsgType::kModelSync)) return false;
-  Reader r(frame.payload);
-  std::uint32_t count = 0;
-  if (!r.u32(&count)) return false;
-  // 8 bytes per sample; reject counts the payload cannot possibly hold
-  // before reserving.
-  if (static_cast<std::size_t>(count) * 8 > frame.payload.size()) return false;
-  out->samples_ms.clear();
-  out->samples_ms.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    double s = 0.0;
-    if (!r.f64(&s)) return false;
-    out->samples_ms.push_back(s);
-  }
-  return r.done();
-}
-
 bool decode(const Frame& frame, StatsRequestMsg*) {
   return expect_type(frame, MsgType::kStatsRequest) && frame.payload.empty();
 }
@@ -296,12 +261,6 @@ bool decode(const Frame& frame, StatsResponseMsg* out) {
   Reader r(frame.payload);
   return r.u32(&out->queue_depth) && r.u64(&out->tasks_executed) &&
          r.u64(&out->tasks_missed_deadline) && r.done();
-}
-
-bool decode(const Frame& frame, GossipHelloMsg* out) {
-  if (!expect_type(frame, MsgType::kGossipHello)) return false;
-  Reader r(frame.payload);
-  return r.u32(&out->gossip_version) && r.u32(&out->origin) && r.done();
 }
 
 bool decode(const Frame& frame, GossipDeltaMsg* out) {
@@ -316,7 +275,7 @@ bool decode(const Frame& frame, GossipDeltaMsg* out) {
   // reject the increment with a failed check on the net thread.
   if (d.dequeues_missed > d.dequeues_recorded) return false;
   // Each entry is at least 17 bytes; reject counts the payload cannot hold
-  // before reserving (same guard as ModelSync's sample count).
+  // before reserving.
   if (static_cast<std::size_t>(num_servers) * 17 > frame.payload.size())
     return false;
   d.servers.clear();
@@ -355,6 +314,25 @@ void FrameBuffer::append(const std::uint8_t* data, std::size_t n) {
     consumed_ = 0;
   }
   buffer_.insert(buffer_.end(), data, data + n);
+}
+
+bool FrameBuffer::fill(int fd) {
+  std::uint8_t buf[16 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket; skip the recv that would only
+      // return EAGAIN. Level-triggered polling reports any later bytes.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return true;
+    } else if (n == 0) {
+      return false;  // peer closed
+    } else {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EINTR) continue;
+      return false;
+    }
+  }
 }
 
 std::optional<Frame> FrameBuffer::next() {

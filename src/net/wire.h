@@ -44,11 +44,10 @@ enum class MsgType : std::uint8_t {
   kHelloAck = 2,      ///< server -> dispatcher: handshake reply
   kSubmitTask = 3,    ///< dispatcher -> server: enqueue one task
   kTaskDone = 4,      ///< server -> dispatcher: one task finished
-  kModelSync = 5,     ///< server -> dispatcher: post-queuing-time backfill
+  // Retired, never reuse: 5 ModelSync, 8 GossipHello (old daemons send them).
   kStatsRequest = 6,  ///< dispatcher -> server: poll server stats
   kStatsResponse = 7, ///< server -> dispatcher: stats snapshot
-  kGossipHello = 8,   ///< server -> dispatcher: announces delta-gossip support
-  kGossipDelta = 9,   ///< server -> dispatcher: periodic ShardDelta broadcast
+  kGossipDelta = 9,   ///< server -> dispatcher: ShardDelta of observations
 };
 
 /// Handshake. The version is repeated inside the payload so a future frame
@@ -95,36 +94,13 @@ struct TaskDoneMsg {
   friend bool operator==(const TaskDoneMsg&, const TaskDoneMsg&) = default;
 };
 
-/// Post-queuing-time samples the server observed while no dispatcher was
-/// connected (e.g. tasks that finished after a disconnect). Sent on
-/// (re)connect so the dispatcher's frozen CDF model catches up.
-struct ModelSyncMsg {
-  std::vector<double> samples_ms;
-
-  friend bool operator==(const ModelSyncMsg&, const ModelSyncMsg&) = default;
-};
-
-/// Announces that the sender will stream GossipDelta messages. Sent by a
-/// task server right after HelloAck when gossip is enabled. A dispatcher
-/// that never sees this treats the server as a pre-gossip daemon and relies
-/// on the kModelSync backfill alone — the unknown-type skip rule in the
-/// framing is the entire downgrade path, no capability bits needed.
-struct GossipHelloMsg {
-  /// Version of the gossip sub-protocol (delta layout), independent of the
-  /// frame version. Receivers ignore deltas with a newer version than theirs.
-  std::uint32_t gossip_version = 1;
-  /// Sender-chosen origin id echoed into each delta (informational; wire
-  /// receivers dedup per connection, not per origin).
-  std::uint32_t origin = 0;
-
-  friend bool operator==(const GossipHelloMsg&, const GossipHelloMsg&) =
-      default;
-};
-
-/// One shard/state_sync.h ShardDelta on the wire: incremental CDF samples,
-/// admission-window increments, and load gauges accumulated since the
-/// sender's previous delta. Sample times are relative durations (ms), like
-/// every other time on the wire.
+/// One shard/state_sync.h ShardDelta on the wire, the daemon's one
+/// observation stream besides TaskDone: incremental CDF samples,
+/// admission-window increments and a load gauge accumulated since the
+/// sender's previous delta. A connection's first delta may be the rejoin
+/// backfill, samples only, of completions whose owner connection was gone.
+/// Seqs increase along a connection; receivers drop seq <= last seen. Sample
+/// times are relative durations (ms), like every other time on the wire.
 struct GossipDeltaMsg {
   ShardDelta delta;
 
@@ -158,20 +134,16 @@ void encode_into(const HelloMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const HelloAckMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const SubmitTaskMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const TaskDoneMsg& msg, std::vector<std::uint8_t>& out);
-void encode_into(const ModelSyncMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const StatsRequestMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const StatsResponseMsg& msg, std::vector<std::uint8_t>& out);
-void encode_into(const GossipHelloMsg& msg, std::vector<std::uint8_t>& out);
 void encode_into(const GossipDeltaMsg& msg, std::vector<std::uint8_t>& out);
 
 std::vector<std::uint8_t> encode(const HelloMsg& msg);
 std::vector<std::uint8_t> encode(const HelloAckMsg& msg);
 std::vector<std::uint8_t> encode(const SubmitTaskMsg& msg);
 std::vector<std::uint8_t> encode(const TaskDoneMsg& msg);
-std::vector<std::uint8_t> encode(const ModelSyncMsg& msg);
 std::vector<std::uint8_t> encode(const StatsRequestMsg& msg);
 std::vector<std::uint8_t> encode(const StatsResponseMsg& msg);
-std::vector<std::uint8_t> encode(const GossipHelloMsg& msg);
 std::vector<std::uint8_t> encode(const GossipDeltaMsg& msg);
 
 // ------------------------------------------------------------------ decode
@@ -189,10 +161,8 @@ bool decode(const Frame& frame, HelloMsg* out);
 bool decode(const Frame& frame, HelloAckMsg* out);
 bool decode(const Frame& frame, SubmitTaskMsg* out);
 bool decode(const Frame& frame, TaskDoneMsg* out);
-bool decode(const Frame& frame, ModelSyncMsg* out);
 bool decode(const Frame& frame, StatsRequestMsg* out);
 bool decode(const Frame& frame, StatsResponseMsg* out);
-bool decode(const Frame& frame, GossipHelloMsg* out);
 bool decode(const Frame& frame, GossipDeltaMsg* out);
 
 /// Incremental frame reassembly over a byte stream. Feed whatever the socket
@@ -211,6 +181,11 @@ class FrameBuffer {
   const std::string& error() const { return error_; }
 
   std::size_t buffered_bytes() const { return buffer_.size(); }
+
+  /// Appends whatever `fd` has ready, in 16 KiB reads, until a short read or
+  /// EAGAIN. Retries EINTR. Returns false on EOF or a socket error: close
+  /// the connection. Mirrors SendQueue::flush(fd) on the read side.
+  bool fill(int fd);
 
  private:
   std::vector<std::uint8_t> buffer_;

@@ -89,7 +89,7 @@ class TailGuardService {
   /// `budget_override` replaces the Eq. 6 pre-dequeuing budget with an
   /// explicit one (the task deadline becomes now + budget). Request-level
   /// decomposition (Eq. 7) uses this to impose per-query budgets computed
-  /// by split_request_budget(); see runtime/request_runner.h.
+  /// by split_request_budget().
   std::future<QueryResult> submit(ClassId cls,
                                   std::vector<ServiceTaskSpec> tasks,
                                   std::optional<TimeMs> budget_override = {});

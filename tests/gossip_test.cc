@@ -1,14 +1,15 @@
-// Tests for the wire-level gossip extension (net/): GossipHello/GossipDelta
-// serde round-trips and truncation rejection, the daemon's periodic delta
-// stream over a raw socket, the dispatcher-level end-to-end path (dispatcher
-// B's CDF model learns from dispatcher A's completions, exactly once), and
-// the mixed-version story — a gossip-off daemon behaves exactly like a
-// pre-gossip build and dispatchers fall back to the ModelSync backfill.
+// Tests for the wire-level observation stream (net/): GossipDelta serde
+// round-trips and truncation rejection, the daemon's periodic delta stream
+// over a raw socket, the dispatcher-level end-to-end path (dispatcher B's
+// CDF model learns from dispatcher A's completions, exactly once), the
+// rejoin backfill riding the same stream with gossip off, and the
+// mixed-version story — retired message types are skipped as unknown.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <limits>
@@ -28,21 +29,6 @@ namespace {
 using namespace std::chrono_literals;
 
 // ------------------------------------------------------------------- wire
-
-TEST(GossipWire, HelloRoundTrip) {
-  net::GossipHelloMsg msg;
-  msg.gossip_version = 1;
-  msg.origin = 3;
-  const auto bytes = net::encode(msg);
-  net::FrameBuffer buf;
-  buf.append(bytes.data(), bytes.size());
-  const auto frame = buf.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, net::MsgType::kGossipHello);
-  net::GossipHelloMsg decoded;
-  ASSERT_TRUE(net::decode(*frame, &decoded));
-  EXPECT_EQ(decoded, msg);
-}
 
 net::GossipDeltaMsg sample_delta() {
   net::GossipDeltaMsg msg;
@@ -227,13 +213,6 @@ TEST(GossipDaemon, AnnouncesAndStreamsDeltasOverRawSocket) {
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->type, net::MsgType::kHelloAck);
 
-  // Gossip-capable daemons announce right after the handshake.
-  const auto hello = client.read_frame_of(net::MsgType::kGossipHello);
-  ASSERT_TRUE(hello.has_value());
-  net::GossipHelloMsg gossip;
-  ASSERT_TRUE(net::decode(*hello, &gossip));
-  EXPECT_EQ(gossip.gossip_version, 1u);
-
   // Periodic deltas flow even with nothing to report; the sole client's own
   // completions are excluded from its stream, so samples stay empty.
   const auto delta_frame = client.read_frame_of(net::MsgType::kGossipDelta);
@@ -301,6 +280,19 @@ TEST(GossipDaemon, ShipsOtherConnectionsCompletionsNotOwn) {
 
 // -------------------------------------------------------- dispatcher e2e
 
+/// One frame of a retired message type, as an older daemon sends it.
+std::vector<std::uint8_t> retired_frame(
+    std::uint8_t type, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out = {
+      static_cast<std::uint8_t>(net::kWireMagic),
+      static_cast<std::uint8_t>(net::kWireMagic >> 8), net::kWireVersion,
+      type};
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<std::uint8_t>(payload.size() >> (8 * i)));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
 net::DispatcherOptions one_server_options(std::uint16_t port) {
   net::DispatcherOptions options;
   options.servers.push_back({"127.0.0.1", port});
@@ -340,7 +332,6 @@ TEST(GossipE2E, SecondDispatcherLearnsFromFirstExactlyOnce) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(5ms);
   EXPECT_EQ(observations(), static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(b.gossip_capable_servers(), 1u);
   EXPECT_GT(b.gossip_deltas_absorbed(), 0u);
   EXPECT_EQ(b.gossip_duplicates_dropped(), 0u);
 
@@ -354,8 +345,8 @@ TEST(GossipE2E, SecondDispatcherLearnsFromFirstExactlyOnce) {
 }
 
 TEST(GossipE2E, GossipOffDaemonBehavesLikePreGossipBuild) {
-  // Mixed-version fleet, old daemon side: gossip_interval_ms = 0 means no
-  // GossipHello, no deltas — peers only ever learn through ModelSync.
+  // gossip_interval_ms = 0: with nothing orphaned no delta is ever sent, so
+  // dispatchers learn nothing of each other's completions.
   net::TaskServer server(net::TaskServerOptions{});
 
   net::RemoteDispatcher a(one_server_options(server.port()));
@@ -368,8 +359,6 @@ TEST(GossipE2E, GossipOffDaemonBehavesLikePreGossipBuild) {
   EXPECT_EQ(a.submit(0, std::move(tasks)).get().tasks_failed, 0u);
   std::this_thread::sleep_for(50ms);
 
-  EXPECT_EQ(a.gossip_capable_servers(), 0u);
-  EXPECT_EQ(b.gossip_capable_servers(), 0u);
   EXPECT_EQ(b.gossip_deltas_absorbed(), 0u);
   EXPECT_EQ(static_cast<const StreamingCdfModel&>(*b.server_model(0))
                 .observations(),
@@ -377,9 +366,8 @@ TEST(GossipE2E, GossipOffDaemonBehavesLikePreGossipBuild) {
 }
 
 TEST(GossipE2E, ModelSyncBackfillStillCoversDisconnectedEras) {
-  // The fallback path of the mixed-version story: samples completed with no
-  // owner connected reach the next dispatcher through ModelSync backfill,
-  // gossip or not.
+  // Samples completed with no owner connected reach the next dispatcher as
+  // its connection's first GossipDelta, gossip off or not — exactly once.
   net::TaskServer server(net::TaskServerOptions{});
   {
     TestClient first;
@@ -396,8 +384,8 @@ TEST(GossipE2E, ModelSyncBackfillStillCoversDisconnectedEras) {
     first.close();
   }
 
-  // ModelSync is sent at Hello time, so the orphaned completion must land in
-  // the buffer before the late dispatcher's handshake.
+  // The backfill is sent at Hello time, so the orphaned completion must land
+  // in the buffer before the late dispatcher's handshake.
   const auto executed_deadline = std::chrono::steady_clock::now() + 5s;
   while (server.tasks_executed() == 0 &&
          std::chrono::steady_clock::now() < executed_deadline)
@@ -413,16 +401,19 @@ TEST(GossipE2E, ModelSyncBackfillStillCoversDisconnectedEras) {
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (observations() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(5ms);
-  EXPECT_GE(observations(), 1u);
+  EXPECT_EQ(observations(), 1u);
+  EXPECT_EQ(late.gossip_deltas_absorbed(), 1u);
 }
 
 TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
-  // A daemon (a raw socket here) gossips two deltas a dispatcher must not
-  // absorb: more misses than dequeues, which with admission on used to fail
-  // the admission window's check on the net thread and terminate the
-  // process, and a NaN sample, which would poison the server's model. Both
-  // are skipped like any malformed frame: the connection stays up, the
-  // next valid delta is absorbed and queries keep completing.
+  // A daemon (a raw socket here) sends four frames a dispatcher must not
+  // absorb. One of each retired type in its old layout, as an older daemon
+  // would: ModelSync (5) samples and GossipHello (8). Then two deltas: more
+  // misses than dequeues, which with admission on used to fail the
+  // admission window's check on the net thread and terminate the process,
+  // and a NaN sample, which would poison the server's model. All are
+  // skipped: the connection stays up, the next valid delta is absorbed and
+  // queries keep completing.
   net::TaskServerOptions server_options;
   server_options.num_classes = 1;
   net::TaskServer real(server_options);
@@ -442,8 +433,16 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
     if (!daemon.accept_from(listener.get())) return;
     if (!daemon.read_frame_of(net::MsgType::kHello)) return;
     daemon.send_bytes(net::encode(net::HelloAckMsg{}));
-    daemon.send_bytes(net::encode(net::GossipHelloMsg{}));
     handshake_ok = true;
+    // A u32 count, then that many f64 samples.
+    std::vector<std::uint8_t> model_sync = {2, 0, 0, 0};
+    for (const double s : {0.5, 0.75})
+      for (int i = 0; i < 8; ++i)
+        model_sync.push_back(static_cast<std::uint8_t>(
+            std::bit_cast<std::uint64_t>(s) >> (8 * i)));
+    daemon.send_bytes(retired_frame(5, model_sync));
+    // Two u32s: gossip_version 1, origin 0.
+    daemon.send_bytes(retired_frame(8, {1, 0, 0, 0, 0, 0, 0, 0}));
     net::GossipDeltaMsg bad_counts;
     bad_counts.delta.seq = 1;
     bad_counts.delta.dequeues_recorded = 1;
@@ -479,7 +478,6 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
       std::this_thread::sleep_for(5ms);
     EXPECT_TRUE(handshake_ok);
     EXPECT_EQ(dispatcher.gossip_deltas_absorbed(), 1u);
-    EXPECT_EQ(dispatcher.gossip_capable_servers(), 1u);
     EXPECT_EQ(static_cast<const StreamingCdfModel&>(
                   *dispatcher.server_model(0)).observations(),
               1u);

@@ -94,17 +94,6 @@ TEST(Wire, TaskDoneRoundTrip) {
   EXPECT_EQ(decoded, msg);
 }
 
-TEST(Wire, ModelSyncRoundTrip) {
-  net::ModelSyncMsg msg;
-  msg.samples_ms = {0.5, 1.0, 2.75, 100.0};
-  const auto bytes = net::encode(msg);
-  net::FrameBuffer buf;
-  buf.append(bytes.data(), bytes.size());
-  net::ModelSyncMsg decoded;
-  ASSERT_TRUE(net::decode(*buf.next(), &decoded));
-  EXPECT_EQ(decoded, msg);
-}
-
 TEST(Wire, StatsRoundTrip) {
   net::StatsResponseMsg msg;
   msg.queue_depth = 12;
@@ -218,6 +207,11 @@ TEST(Wire, DecodeRejectsNonFiniteTimes) {
     std::decay_t<decltype(msg)> out;
     return net::decode(*buf.next(), &out);
   };
+  const auto delta_of = [](std::vector<double> samples_ms) {
+    net::GossipDeltaMsg msg;
+    msg.delta.servers.emplace_back().samples_ms = std::move(samples_ms);
+    return msg;
+  };
   const double max = std::numeric_limits<double>::max();
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
@@ -226,13 +220,13 @@ TEST(Wire, DecodeRejectsNonFiniteTimes) {
     EXPECT_FALSE(decodes(net::SubmitTaskMsg{.simulated_service_ms = bad}));
     EXPECT_FALSE(decodes(net::TaskDoneMsg{.queue_ms = bad}));
     EXPECT_FALSE(decodes(net::TaskDoneMsg{.service_ms = bad}));
-    EXPECT_FALSE(decodes(net::ModelSyncMsg{.samples_ms = {1.0, bad}}));
+    EXPECT_FALSE(decodes(delta_of({1.0, bad})));
   }
   // The largest finite values still decode.
   EXPECT_TRUE(decodes(net::SubmitTaskMsg{.relative_deadline_ms = -max,
                                          .simulated_service_ms = max}));
   EXPECT_TRUE(decodes(net::TaskDoneMsg{.queue_ms = max, .service_ms = max}));
-  EXPECT_TRUE(decodes(net::ModelSyncMsg{.samples_ms = {max, -max}}));
+  EXPECT_TRUE(decodes(delta_of({max, -max})));
 }
 
 TEST(Wire, UnknownMessageTypeIsSkippable) {
@@ -404,8 +398,9 @@ TEST(SendQueue, BlockedFlushResumesWhereItStopped) {
   ::setsockopt(tx.get(), SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny));
 
   net::SendQueue q;
-  net::ModelSyncMsg big;
-  big.samples_ms.resize(20000, 1.25);  // ~160 KB frame, far beyond SO_SNDBUF
+  net::GossipDeltaMsg big;
+  // ~160 KB frame, far beyond SO_SNDBUF.
+  big.delta.servers.emplace_back().samples_ms.resize(20000, 1.25);
   net::encode_into(big, q.chunk());
   const std::size_t total = q.bytes_pending();
 
@@ -424,7 +419,7 @@ TEST(SendQueue, BlockedFlushResumesWhereItStopped) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_TRUE(saw_blocked) << "SO_SNDBUF=" << tiny << " never backpressured a "
                            << total << "-byte frame";
-  net::ModelSyncMsg rt;
+  net::GossipDeltaMsg rt;
   ASSERT_TRUE(net::decode(*frame, &rt));
   EXPECT_EQ(rt, big);
   EXPECT_TRUE(q.empty());
@@ -561,7 +556,7 @@ TEST(TaskServer, AnswersStatsRequest) {
 }
 
 TEST(TaskServer, BuffersSamplesForModelSyncAcrossReconnect) {
-  net::TaskServer server(net::TaskServerOptions{});
+  net::TaskServer server(net::TaskServerOptions{});  // gossip off
   {
     TestClient first;
     ASSERT_TRUE(first.connect_to(server.port()));
@@ -582,16 +577,28 @@ TEST(TaskServer, BuffersSamplesForModelSyncAcrossReconnect) {
     std::this_thread::sleep_for(5ms);
   ASSERT_EQ(server.tasks_executed(), 1u);
 
+  // The next connection's first frame after the ack is the backfill: a
+  // GossipDelta holding exactly the orphaned sample, even with gossip off,
+  // and nothing else — no dequeue counts and no load gauge.
   TestClient second;
   ASSERT_TRUE(second.connect_to(server.port()));
   second.send_bytes(net::encode(net::HelloMsg{}));
-  ASSERT_TRUE(second.read_frame().has_value());  // ack
-  const auto sync_frame = second.read_frame();
-  ASSERT_TRUE(sync_frame.has_value());
-  net::ModelSyncMsg sync;
-  ASSERT_TRUE(net::decode(*sync_frame, &sync));
-  ASSERT_EQ(sync.samples_ms.size(), 1u);
-  EXPECT_GE(sync.samples_ms[0], 25.0);
+  const auto ack = second.read_frame();
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, net::MsgType::kHelloAck);
+  const auto backfill_frame = second.read_frame();
+  ASSERT_TRUE(backfill_frame.has_value());
+  net::GossipDeltaMsg backfill;
+  ASSERT_TRUE(net::decode(*backfill_frame, &backfill));
+  EXPECT_GE(backfill.delta.seq, 1u);
+  EXPECT_EQ(backfill.delta.dequeues_recorded, 0u);
+  EXPECT_EQ(backfill.delta.dequeues_missed, 0u);
+  ASSERT_EQ(backfill.delta.servers.size(), 1u);
+  const ShardDelta::ServerEntry& entry = backfill.delta.servers[0];
+  EXPECT_FALSE(entry.has_load);
+  ASSERT_EQ(entry.samples_ms.size(), 1u);
+  EXPECT_GE(entry.samples_ms[0], 25.0);
+  EXPECT_EQ(server.gossip_deltas_sent(), 1u);
 }
 
 // ------------------------------------------------------- dispatcher + e2e

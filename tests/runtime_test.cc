@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "runtime/request_runner.h"
 #include "runtime/service.h"
 
 namespace tailguard {
@@ -481,69 +480,6 @@ TEST(Service, BudgetOverrideSetsDeadline) {
   for (auto& t : tasks) t.simulated_service_ms = 0.01;
   const QueryResult r = svc.submit(0, std::move(tasks), 12.5).get();
   EXPECT_NEAR(r.deadline_budget_ms, 12.5, 1e-9);
-}
-
-TEST(RequestRunner, SequentialExecutionAndLatency) {
-  TailGuardService svc(basic_options());
-  std::vector<RequestQueryPlan> plans(3);
-  std::atomic<int> order_check{0};
-  std::vector<int> seen;
-  std::mutex seen_mu;
-  for (int i = 0; i < 3; ++i) {
-    plans[i].cls = 0;
-    plans[i].tasks.resize(2);
-    for (auto& t : plans[i].tasks) {
-      t.work = [i, &seen, &seen_mu] {
-        std::lock_guard l(seen_mu);
-        seen.push_back(i);
-      };
-    }
-  }
-  const auto budgets = std::vector<TimeMs>{10.0, 10.0, 10.0};
-  const RequestResult r = submit_request(svc, std::move(plans), budgets).get();
-  EXPECT_TRUE(r.admitted);
-  ASSERT_EQ(r.queries.size(), 3u);
-  // Strict sequencing: all tasks of query i ran before any task of i+1.
-  ASSERT_EQ(seen.size(), 6u);
-  EXPECT_EQ(seen, (std::vector<int>{0, 0, 1, 1, 2, 2}));
-  EXPECT_GE(r.latency_ms, r.queries[0].latency_ms);
-  (void)order_check;
-}
-
-TEST(RequestRunner, StopsAtFirstRejectedQuery) {
-  ServiceOptions opt = basic_options(Policy::kTfEdf, 1);
-  opt.classes = {{.slo_ms = 1.0, .percentile = 99.0}};
-  opt.admission = AdmissionOptions{.window_tasks = 10,
-                                   .window_ms = 10000.0,
-                                   .miss_ratio_threshold = 0.0};
-  TailGuardService svc(opt);
-  // Poison the window: tasks that always miss (zero budget, 1 ms service).
-  std::vector<std::future<QueryResult>> poison;
-  for (int i = 0; i < 20; ++i) {
-    std::vector<ServiceTaskSpec> tasks(1);
-    tasks[0].simulated_service_ms = 1.0;
-    poison.push_back(svc.submit(0, std::move(tasks), 0.0));
-  }
-  for (auto& f : poison) f.get();
-  ASSERT_GT(svc.deadline_miss_ratio(), 0.0);
-
-  std::vector<RequestQueryPlan> plans(3);
-  for (auto& p : plans) {
-    p.tasks.resize(1);
-    p.tasks[0].simulated_service_ms = 0.01;
-  }
-  const RequestResult r =
-      submit_request(svc, std::move(plans), {1.0, 1.0, 1.0}).get();
-  EXPECT_FALSE(r.admitted);
-  EXPECT_LT(r.queries.size(), 3u);
-}
-
-TEST(RequestRunner, Validation) {
-  TailGuardService svc(basic_options());
-  EXPECT_THROW(submit_request(svc, {}, {}), CheckFailure);
-  std::vector<RequestQueryPlan> plans(2);
-  for (auto& p : plans) p.tasks.resize(1);
-  EXPECT_THROW(submit_request(svc, std::move(plans), {1.0}), CheckFailure);
 }
 
 TEST(Service, DestructorDrainsInFlightQueries) {

@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
   flags.add_size("classes", &num_classes, "number of service classes");
   flags.add_size("executors", &executors, "execution threads");
   flags.add_double("gossip-ms", &gossip_ms,
-                   "delta-gossip period in ms (0 = disabled: pre-gossip "
-                   "behaviour, dispatchers rely on ModelSync backfill)");
+                   "delta-gossip period in ms (0 = disabled: a dispatcher "
+                   "gets its own TaskDones and, at connect, the rejoin "
+                   "backfill)");
   flags.add_bool("once", &once,
                  "start, print the port, and exit immediately (smoke tests)");
   if (!flags.parse(argc, argv, std::cout, std::cerr))
