@@ -61,6 +61,14 @@ void AdmissionController::record_remote_dequeues(TimeMs now,
                                                  std::uint64_t missed) {
   TG_CHECK_MSG(missed <= recorded, "missed count exceeds recorded count");
   if (recorded == 0) return;
+  if (recorded > options_.window_tasks) {
+    // Eviction would drop the whole window, this batch included. Doing it
+    // here keeps a huge remote batch from wrapping the counters first.
+    window_size_ = 0;
+    tasks_in_window_ = 0;
+    misses_in_window_ = 0;
+    return;
+  }
   push_back(Entry{now, recorded, missed});
   tasks_in_window_ += recorded;
   misses_in_window_ += missed;

@@ -62,7 +62,7 @@ class AdmissionController {
   /// entering the window as one weighted entry timestamped `now`. Deltas are
   /// increments since the sender's previous sync, so replaying a sync stream
   /// never double-counts; a weight-1 call is behaviourally identical to
-  /// record_task_dequeue.
+  /// record_task_dequeue. A batch over window_tasks empties the window.
   void record_remote_dequeues(TimeMs now, std::uint64_t recorded,
                               std::uint64_t missed);
 

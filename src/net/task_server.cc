@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -46,11 +45,10 @@ struct TaskServerOptions {
   /// policy queue, one executor); >1 shares the accept loop across several
   /// independently-queued executors.
   std::size_t num_executors = 1;
-  std::string name = "tailguard-task-server";
   /// Delta-gossip period (local-clock ms). When > 0 the server streams each
   /// dispatcher a periodic GossipDelta of the completions *other*
   /// connections produced (samples, miss-window increments) plus a
-  /// queue-depth load gauge — the wire form of shard/state_sync.h. 0 (the
+  /// queue-depth load gauge, one ShardDelta (net/wire.h) each. 0 (the
   /// default) disables gossip: a dispatcher then gets only its TaskDones
   /// and, at Hello, the rejoin backfill.
   TimeMs gossip_interval_ms = 0.0;

@@ -28,7 +28,49 @@
 #include <vector>
 
 #include "core/types.h"
-#include "shard/state_sync.h"
+
+namespace tailguard {
+
+/// What a task-server daemon observed since its previous GossipDelta, as
+/// increments a receiver applies once: per-server post-queuing-time samples
+/// (they feed the streaming CDF models) and admission-window dequeue counts,
+/// plus a last-writer-wins queue-depth gauge per server.
+struct ShardDelta {
+  /// Unused: daemons send 0 and the dispatcher ignores it. It stays so the
+  /// frame layout does not change.
+  std::uint32_t origin = 0;
+  /// Strictly increasing along a connection; the dispatcher drops seq <=
+  /// the last one it absorbed there.
+  std::uint64_t seq = 0;
+
+  struct ServerEntry {
+    ServerId server = 0;
+    /// New post-queuing-time observations since the previous delta. May be
+    /// thinned to a cap; `samples_dropped` counts what the thinning lost.
+    std::vector<double> samples_ms;
+    std::uint64_t samples_dropped = 0;
+    /// The sending daemon's queue depth on this server, valid only when
+    /// has_load. A gauge: receivers overwrite, never add. The dispatcher
+    /// folds it into its placement candidates' loads.
+    std::uint32_t load_estimate = 0;
+    bool has_load = false;
+
+    friend bool operator==(const ServerEntry&, const ServerEntry&) = default;
+  };
+  std::vector<ServerEntry> servers;
+
+  /// Admission-window increments since the previous delta.
+  std::uint64_t dequeues_recorded = 0;
+  std::uint64_t dequeues_missed = 0;
+
+  bool empty() const {
+    return servers.empty() && dequeues_recorded == 0 && dequeues_missed == 0;
+  }
+
+  friend bool operator==(const ShardDelta&, const ShardDelta&) = default;
+};
+
+}  // namespace tailguard
 
 namespace tailguard::net {
 
@@ -94,13 +136,13 @@ struct TaskDoneMsg {
   friend bool operator==(const TaskDoneMsg&, const TaskDoneMsg&) = default;
 };
 
-/// One shard/state_sync.h ShardDelta on the wire, the daemon's one
-/// observation stream besides TaskDone: incremental CDF samples,
-/// admission-window increments and a load gauge accumulated since the
-/// sender's previous delta. A connection's first delta may be the rejoin
-/// backfill, samples only, of completions whose owner connection was gone.
-/// Seqs increase along a connection; receivers drop seq <= last seen. Sample
-/// times are relative durations (ms), like every other time on the wire.
+/// One ShardDelta on the wire, the daemon's one observation stream besides
+/// TaskDone: incremental CDF samples, admission-window increments and a load
+/// gauge accumulated since the sender's previous delta. A connection's first
+/// delta may be the rejoin backfill, samples only, of completions whose owner
+/// connection was gone. Seqs increase along a connection; receivers drop seq
+/// <= last seen. Sample times are relative durations (ms), like every other
+/// time on the wire.
 struct GossipDeltaMsg {
   ShardDelta delta;
 

@@ -1,5 +1,6 @@
 #include "shard/sharded_control_plane.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -14,9 +15,7 @@ ShardedControlPlane::ShardedControlPlane(
     : sharding_(sharding),
       num_shards_(sharding.num_shards),
       accumulate_(sharding.sync_enabled()),
-      num_servers_(server_models.size()),
-      router_(make_router(sharding.router)),
-      bus_(sharding.num_shards) {
+      num_servers_(server_models.size()) {
   TG_CHECK_MSG(num_shards_ >= 1, "need >= 1 shard");
   TG_CHECK_MSG(!server_models.empty(), "need >= 1 server model");
   shards_.reserve(num_shards_);
@@ -47,12 +46,7 @@ ShardedControlPlane::ShardedControlPlane(
         std::make_unique<QueryControlPlane>(std::move(opts), std::move(models)));
   }
   pending_.resize(num_shards_);
-  for (PendingDelta& p : pending_) {
-    p.samples.resize(num_servers_);
-    p.dropped.assign(num_servers_, 0);
-  }
-  next_seq_.assign(num_shards_, 1);
-  dedup_.resize(num_shards_);
+  for (PendingDelta& p : pending_) p.samples.resize(num_servers_);
   next_sync_ms_ = accumulate_ ? sharding_.sync_interval_ms : 0.0;
 }
 
@@ -71,11 +65,7 @@ void ShardedControlPlane::observe_post_queuing_on(std::uint32_t shard,
   if (accumulate_) {
     PendingDelta& p = pending_[shard];
     std::vector<double>& buf = p.samples[server];
-    if (buf.size() < kMaxPendingPerServer) {
-      buf.push_back(post_ms);
-    } else {
-      ++p.dropped[server];
-    }
+    if (buf.size() < kMaxPendingPerServer) buf.push_back(post_ms);
     p.any = true;
   }
 }
@@ -87,83 +77,34 @@ void ShardedControlPlane::seed_profile(ServerId server,
   }
 }
 
-ShardDelta ShardedControlPlane::collect_delta(std::uint32_t shard) {
-  PendingDelta& p = pending_[shard];
-  ShardDelta delta;
-  delta.origin = shard;
-  delta.seq = next_seq_[shard]++;
-  delta.dequeues_recorded = p.recorded;
-  delta.dequeues_missed = p.missed;
-  const std::size_t cap = sharding_.max_sync_samples_per_server;
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    std::vector<double>& buf = p.samples[s];
-    if (buf.empty() && p.dropped[s] == 0) continue;
-    ShardDelta::ServerEntry entry;
-    entry.server = static_cast<ServerId>(s);
-    entry.samples_dropped = p.dropped[s];
-    // Deterministic thinning to the per-server cap: an evenly-strided subset
-    // of the buffer, counting what the stride lost. Samples are copied out,
-    // never moved, so the pending buffer keeps its capacity for the next
-    // round.
-    if (cap > 0 && buf.size() > cap) {
-      entry.samples_ms.reserve(cap);
-      for (std::size_t i = 0; i < cap; ++i)
-        entry.samples_ms.push_back(buf[i * buf.size() / cap]);
-      entry.samples_dropped += buf.size() - cap;
-    } else {
-      entry.samples_ms.assign(buf.begin(), buf.end());
-    }
-    buf.clear();
-    delta.servers.push_back(std::move(entry));
-    p.dropped[s] = 0;
-  }
-  p.recorded = 0;
-  p.missed = 0;
-  p.any = false;
-  return delta;
-}
-
-bool ShardedControlPlane::absorb_remote_delta(std::uint32_t shard,
-                                              const ShardDelta& delta,
-                                              TimeMs now) {
-  if (!dedup_[shard].accept(delta.origin, delta.seq)) {
-    ++stats_.duplicates_dropped;
-    return false;
-  }
-  QueryControlPlane& plane = *shards_[shard];
-  for (const ShardDelta::ServerEntry& entry : delta.servers) {
-    // Feed the replica directly: absorbed samples must not re-enter this
-    // shard's pending delta or every round would re-broadcast them.
-    for (double s : entry.samples_ms) {
-      plane.observe_post_queuing(entry.server, s);
-    }
-    stats_.samples_shipped += entry.samples_ms.size();
-    stats_.samples_dropped += entry.samples_dropped;
-  }
-  plane.absorb_remote_dequeues(now, delta.dequeues_recorded,
-                               delta.dequeues_missed);
-  ++stats_.deltas_absorbed;
-  return true;
-}
-
 void ShardedControlPlane::run_sync_round(TimeMs now) {
-  // Collect-then-publish-then-absorb in shard order: every shard's delta
-  // reflects only pre-round state, so a round is a symmetric exchange and
-  // the outcome is independent of per-shard processing order.
-  std::vector<ShardDelta> outbound;
-  outbound.reserve(num_shards_);
-  for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    if (!pending_[s].any) continue;
-    outbound.push_back(collect_delta(s));
-  }
-  for (ShardDelta& d : outbound) {
-    bus_.publish(d);
-    ++stats_.deltas_published;
-  }
-  for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    for (const ShardDelta& d : bus_.drain(s)) {
-      absorb_remote_delta(s, d, now);
+  // Every shard absorbs every other shard's pending state as it stood when
+  // the round began: absorbed samples and dequeues feed the replica directly
+  // and never re-enter a pending buffer, so nothing echoes back next round.
+  // Past the per-server cap, each receiver takes the same evenly strided
+  // subset (i * size / n is just i below the cap).
+  for (std::uint32_t to = 0; to < num_shards_; ++to) {
+    QueryControlPlane& plane = *shards_[to];
+    for (std::uint32_t from = 0; from < num_shards_; ++from) {
+      const PendingDelta& p = pending_[from];
+      if (from == to || !p.any) continue;
+      for (std::size_t s = 0; s < num_servers_; ++s) {
+        const std::vector<double>& buf = p.samples[s];
+        const std::size_t n = std::min(buf.size(), kMaxSyncSamplesPerServer);
+        for (std::size_t i = 0; i < n; ++i)
+          plane.observe_post_queuing(static_cast<ServerId>(s),
+                                     buf[i * buf.size() / n]);
+        stats_.samples_shipped += n;
+      }
+      plane.absorb_remote_dequeues(now, p.recorded, p.missed);
     }
+  }
+  // clear() keeps each buffer's capacity for the next round.
+  for (PendingDelta& p : pending_) {
+    for (std::vector<double>& buf : p.samples) buf.clear();
+    p.recorded = 0;
+    p.missed = 0;
+    p.any = false;
   }
   ++stats_.rounds;
 }

@@ -15,9 +15,10 @@
 // servers sharing one model shared_ptr share one clone) and an Rng seeded
 // from a splitmix64 substream of the base seed, so sharded runs are
 // reproducible at any shard count and shards never share mutable state.
-// All cross-shard flow goes through StateSyncBus as (origin, seq)-versioned
-// ShardDeltas; the tg_lint control-plane-boundary rule enforces that nothing
-// else in the tree reaches into another shard's QueryControlPlane.
+// All cross-shard flow goes through the sync round, which feeds each shard
+// the others' pending samples and dequeue increments; the tg_lint
+// control-plane-boundary rule enforces that nothing else in the tree reaches
+// into another shard's QueryControlPlane.
 //
 // Thread safety: none here, deliberately — this class owns no mutex, so the
 // tg_lint guarded-member rule and the TSA annotation layer
@@ -37,10 +38,21 @@
 
 #include "common/rng.h"
 #include "core/control_plane.h"
-#include "shard/router.h"
-#include "shard/state_sync.h"
 
 namespace tailguard {
+
+/// Query-to-shard routing. Each kind is a pure function of (key, cls,
+/// num_shards), so sharded runs stay bit-reproducible and a replayed key
+/// always lands on the same shard.
+enum class RouterKind {
+  /// splitmix64 of the key: decorrelates shard choice from arrival order.
+  kHash,
+  /// key % num_shards: perfectly balanced for sequential keys.
+  kRoundRobin,
+  /// cls % num_shards: all queries of a class share one shard, so that
+  /// shard's admission window sees the class's full miss signal locally.
+  kClassAffinity,
+};
 
 struct ShardingOptions {
   std::uint32_t num_shards = 1;
@@ -48,9 +60,6 @@ struct ShardingOptions {
   /// The staleness knob: bench/shard_staleness sweeps it.
   TimeMs sync_interval_ms = 0.0;
   RouterKind router = RouterKind::kHash;
-  /// Per-server sample cap per emitted delta; overflow is thinned
-  /// deterministically and counted in ShardDelta::samples_dropped.
-  std::size_t max_sync_samples_per_server = 256;
 
   bool sync_enabled() const {
     return num_shards > 1 && sync_interval_ms > 0.0;
@@ -81,10 +90,18 @@ class ShardedControlPlane {
   bool sync_enabled() const { return accumulate_; }
 
   /// Shard for a new query with routing key `key` (arrival index, submission
-  /// counter, connection id, ...) in class `cls`.
+  /// counter, connection id, ...) in class `cls`, under sharding_.router.
   std::uint32_t route(std::uint64_t key, ClassId cls) const {
     if (num_shards_ == 1) return 0;
-    return router_->route(key, cls, num_shards_);
+    switch (sharding_.router) {
+      case RouterKind::kRoundRobin:
+        return static_cast<std::uint32_t>(key % num_shards_);
+      case RouterKind::kClassAffinity:
+        return cls % num_shards_;
+      case RouterKind::kHash:
+        break;
+    }
+    return static_cast<std::uint32_t>(splitmix64(key) % num_shards_);
   }
 
   /// Owning shard of an already-issued query id.
@@ -199,21 +216,10 @@ class ShardedControlPlane {
 
   TimeMs next_sync_at() const { return next_sync_ms_; }
 
-  /// Extracts shard's pending delta (consuming it) with its next seq; an
-  /// all-empty pending state yields an empty delta with seq still advanced.
-  ShardDelta collect_delta(std::uint32_t shard);
-
-  /// Applies a remote delta to `shard` iff (origin, seq) is new. Samples and
-  /// dequeue counts feed the replica directly — they do NOT re-enter the
-  /// pending delta, so absorbed state is never re-broadcast (no echo
-  /// amplification). Returns whether the delta was accepted.
-  bool absorb_remote_delta(std::uint32_t shard, const ShardDelta& delta,
-                           TimeMs now);
-
   /// Feeds remotely-observed dequeues straight into `shard`'s admission
   /// window (the wire-gossip path, where the dispatcher dedups per
-  /// connection itself). Bypasses delta accumulation for the same reason
-  /// absorb_remote_delta does: absorbed state must never be re-broadcast.
+  /// connection itself). Bypasses delta accumulation, as a sync round's
+  /// absorption does: absorbed state must never be re-broadcast.
   void absorb_remote_dequeues(std::uint32_t shard, TimeMs now,
                               std::uint64_t recorded, std::uint64_t missed) {
     shards_[shard]->absorb_remote_dequeues(now, recorded, missed);
@@ -221,11 +227,8 @@ class ShardedControlPlane {
 
   struct SyncStats {
     std::uint64_t rounds = 0;
-    std::uint64_t deltas_published = 0;
-    std::uint64_t deltas_absorbed = 0;
-    std::uint64_t duplicates_dropped = 0;
+    /// Samples absorbed, summed over receiving shards.
     std::uint64_t samples_shipped = 0;
-    std::uint64_t samples_dropped = 0;
   };
   const SyncStats& sync_stats() const { return stats_; }
 
@@ -252,16 +255,18 @@ class ShardedControlPlane {
   ClassAccounting class_accounting(ClassId cls) const;
 
  private:
-  /// Per-shard state pending for the next outbound delta. Flat per-server
+  /// Per-shard state pending for the next sync round. Flat per-server
   /// vectors; `kMaxPendingPerServer` hard-bounds memory between rounds.
   struct PendingDelta {
     std::vector<std::vector<double>> samples;  ///< server -> new samples
-    std::vector<std::uint64_t> dropped;
     std::uint64_t recorded = 0;
     std::uint64_t missed = 0;
     bool any = false;
   };
   static constexpr std::size_t kMaxPendingPerServer = 4096;
+  /// Samples per server a round ships from one shard; past it every
+  /// receiver takes the same evenly strided subset.
+  static constexpr std::size_t kMaxSyncSamplesPerServer = 256;
 
   void accumulate_dequeue(std::uint32_t shard, bool missed);
   void run_sync_round(TimeMs now);
@@ -271,12 +276,8 @@ class ShardedControlPlane {
   std::uint32_t num_shards_;
   bool accumulate_;  ///< cache of sharding_.sync_enabled()
   std::size_t num_servers_;
-  std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<QueryControlPlane>> shards_;
   std::vector<PendingDelta> pending_;
-  std::vector<std::uint64_t> next_seq_;
-  std::vector<DeltaDedup> dedup_;
-  StateSyncBus bus_;
   TimeMs next_sync_ms_ = 0.0;
   SyncStats stats_;
 };

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -165,6 +166,36 @@ TEST(AdmissionController, WindowEvictsLikeAReferenceDeque) {
                     : static_cast<double>(misses) / static_cast<double>(tasks);
     ASSERT_EQ(ctl.miss_ratio(now), want) << "step " << i;
   }
+}
+
+TEST(AdmissionController, OversizedRemoteBatchEmptiesTheWindow) {
+  // Eviction drops a batch larger than window_tasks whole, and the window
+  // with it. Counts near 2^64 (one malformed GossipDelta) used to wrap the
+  // window's tallies first, leaving a miss ratio of 1.8e19 or 0/0 that
+  // rejected every query until the window aged out.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  AdmissionController all_missed{AdmissionOptions{}};
+  all_missed.record_task_dequeue(1.0, false);
+  all_missed.record_task_dequeue(1.0, false);
+  all_missed.record_remote_dequeues(1.0, kMax, kMax);
+  EXPECT_EQ(all_missed.miss_ratio(1.0), 0.0);
+  EXPECT_TRUE(all_missed.should_admit(1.0));
+
+  AdmissionController none_missed{AdmissionOptions{}};
+  none_missed.record_task_dequeue(1.0, false);
+  none_missed.record_remote_dequeues(1.0, kMax, 0);
+  EXPECT_EQ(none_missed.miss_ratio(1.0), 0.0);
+  EXPECT_TRUE(none_missed.should_admit(1.0));
+
+  // What eviction does when the sum does not wrap; the window keeps working.
+  AdmissionController large{AdmissionOptions{}};
+  large.record_task_dequeue(1.0, false);
+  large.record_task_dequeue(1.0, false);
+  large.record_remote_dequeues(1.0, 200000, 200000);
+  EXPECT_EQ(large.miss_ratio(1.0), 0.0);
+  EXPECT_TRUE(large.should_admit(1.0));
+  large.record_task_dequeue(2.0, true);
+  EXPECT_EQ(large.miss_ratio(2.0), 1.0);
 }
 
 TEST(AdmissionController, PaperDefaults) {

@@ -413,7 +413,9 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
   // admission window's check on the net thread and terminate the process,
   // and a NaN sample, which would poison the server's model. All are
   // skipped: the connection stays up, the next valid delta is absorbed and
-  // queries keep completing.
+  // queries keep completing. A last delta with both counts at 2^64 - 1 is
+  // absorbed; it used to wrap the admission window's tallies and reject
+  // every query for the window's 1 s.
   net::TaskServerOptions server_options;
   server_options.num_classes = 1;
   net::TaskServer real(server_options);
@@ -458,6 +460,11 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
     valid.delta.dequeues_recorded = 2;
     valid.delta.servers.emplace_back().samples_ms = {0.5};
     daemon.send_bytes(net::encode(valid));
+    net::GossipDeltaMsg huge;
+    huge.delta.seq = 4;
+    huge.delta.dequeues_recorded = std::numeric_limits<std::uint64_t>::max();
+    huge.delta.dequeues_missed = huge.delta.dequeues_recorded;
+    daemon.send_bytes(net::encode(huge));
     while (!stop) daemon.read_frame(50);
   });
   struct StopAndJoin {
@@ -473,11 +480,11 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
     net::RemoteDispatcher dispatcher(options);
     ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
     const auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (dispatcher.gossip_deltas_absorbed() == 0 &&
+    while (dispatcher.gossip_deltas_absorbed() < 2 &&
            std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(5ms);
     EXPECT_TRUE(handshake_ok);
-    EXPECT_EQ(dispatcher.gossip_deltas_absorbed(), 1u);
+    EXPECT_EQ(dispatcher.gossip_deltas_absorbed(), 2u);
     EXPECT_EQ(static_cast<const StreamingCdfModel&>(
                   *dispatcher.server_model(0)).observations(),
               1u);

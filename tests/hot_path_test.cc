@@ -6,8 +6,8 @@
 //    structures are slab-pooled and pre-reserved, so the count must not
 //    scale with the query count (amortized vector doublings only), with
 //    the control-plane paths off or on (pow_d placement, streaming models,
-//    admission, a network model); a warm admission window allocates
-//    nothing.
+//    admission, a network model, one shard or four synced ones); a warm
+//    admission window allocates nothing.
 //  * The query tracker stays bounded on a long-running service: its id
 //    table drops the dead prefix instead of growing 4 bytes per query.
 //  * A warm query front door (the runtime's and the dispatcher's shared
@@ -165,8 +165,10 @@ TEST(HotPathAlloc, EventLoopAllocsDoNotScaleWithQueries) {
 
 /// hot_config with the control-plane paths on: pow_d through
 /// control.place(), streaming models re-inverted on every refresh,
-/// admission, a network model and a (one-shard) sharded plane.
-SimConfig control_path_config(std::size_t num_queries) {
+/// admission, a network model and a sharded plane, one shard by default.
+SimConfig control_path_config(
+    std::size_t num_queries,
+    ShardingOptions sharding = ShardingOptions{.num_shards = 1}) {
   SimConfig cfg = hot_config(num_queries, 3);
   cfg.classes = {{.slo_ms = 20.0, .percentile = 99.0}};
   cfg.estimation = EstimationMode::kOnlineFromSingleProfile;
@@ -174,7 +176,7 @@ SimConfig control_path_config(std::size_t num_queries) {
   cfg.placement_policy = PlacementPolicyOptions{
       .kind = PlacementPolicyKind::kPowerOfD, .power_d = 2};
   cfg.admission = AdmissionOptions{};
-  cfg.sharding = ShardingOptions{.num_shards = 1};
+  cfg.sharding = sharding;
   cfg.dispatch_delay_ms = std::make_shared<Exponential>(0.02);
   cfg.result_delay_ms = std::make_shared<Exponential>(0.02);
   set_load(cfg, 0.7);
@@ -189,6 +191,17 @@ TEST(HotPathAlloc, ControlPathEventLoopAllocsDoNotScaleWithQueries) {
   EXPECT_LT(rb.event_loop_allocs, 256u) << "control path allocates per query";
   EXPECT_LT(rb.event_loop_allocs, rs.event_loop_allocs + 128u)
       << "control-path allocations scale with the query count";
+
+  // Four shards synced every 5 ms: about 2,000 rounds in the big run. The
+  // pending buffers grow once per shard and server (about 530 allocations)
+  // and a round allocates nothing after that.
+  const ShardingOptions sharded{.num_shards = 4, .sync_interval_ms = 5.0};
+  const SimResult ss = run_simulation(control_path_config(10000, sharded));
+  const SimResult sb = run_simulation(control_path_config(40000, sharded));
+  EXPECT_GT(sb.shard_sync_rounds, 1000u);
+  EXPECT_LT(sb.event_loop_allocs, 1024u) << "sync rounds allocate per round";
+  EXPECT_LT(sb.event_loop_allocs, ss.event_loop_allocs + 128u)
+      << "sharded allocations scale with the query count";
 }
 
 TEST(HotPathAlloc, WarmAdmissionWindowDoesNotAllocate) {

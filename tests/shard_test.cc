@@ -1,9 +1,9 @@
-// Tests for the sharded control plane (shard/): router purity and coverage,
-// per-shard seed substreams, strided query-id allocation, delta-sync
-// exactly-once semantics (collect/absorb/dedup, no echo amplification),
-// weighted admission merging, load-gauge gossip, and the two determinism
-// contracts — shard=1 bit-parity with the unsharded simulator and
-// reproducibility at any shard count.
+// Tests for the sharded control plane (shard/): routing purity and
+// coverage, per-shard seed substreams, strided query-id allocation, sync
+// rounds delivering each pending sample and dequeue exactly once (no echo,
+// deterministic thinning), weighted admission merging, and the two
+// determinism contracts — shard=1 bit-parity with the unsharded simulator
+// and reproducibility at any shard count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,69 +13,12 @@
 #include "core/admission.h"
 #include "core/cdf_model.h"
 #include "dist/standard.h"
-#include "shard/router.h"
 #include "shard/sharded_control_plane.h"
-#include "shard/state_sync.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
 namespace tailguard {
 namespace {
-
-// ------------------------------------------------------------------ router
-
-TEST(ShardRouter, PureInRangeAndStable) {
-  for (const RouterKind kind :
-       {RouterKind::kHash, RouterKind::kRoundRobin, RouterKind::kClassAffinity}) {
-    const auto router = make_router(kind);
-    EXPECT_EQ(router->kind(), kind);
-    for (std::uint64_t key = 0; key < 200; ++key) {
-      const std::uint32_t first = router->route(key, key % 3, 4);
-      EXPECT_LT(first, 4u);
-      // Pure function of (key, cls, num_shards): no internal state drift.
-      EXPECT_EQ(router->route(key, key % 3, 4), first);
-    }
-  }
-}
-
-TEST(ShardRouter, RoundRobinAndClassAffinityAreModular) {
-  const auto rr = make_router(RouterKind::kRoundRobin);
-  const auto ca = make_router(RouterKind::kClassAffinity);
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    EXPECT_EQ(rr->route(key, 2, 5), key % 5);
-    EXPECT_EQ(ca->route(key, 2, 5), 2u % 5);
-    EXPECT_EQ(ca->route(key, 7, 5), 7u % 5);
-  }
-}
-
-TEST(ShardRouter, HashCoversEveryShard) {
-  const auto router = make_router(RouterKind::kHash);
-  std::set<std::uint32_t> seen;
-  for (std::uint64_t key = 0; key < 1000; ++key)
-    seen.insert(router->route(key, 0, 8));
-  EXPECT_EQ(seen.size(), 8u);
-}
-
-// ------------------------------------------------------------------- seeds
-
-TEST(ShardSeeds, ShardZeroKeepsBaseSeed) {
-  // The shard=1 parity invariant hinges on this: shard 0 must draw from the
-  // exact stream an unsharded control plane would.
-  EXPECT_EQ(shard_substream_seed(42, 0), 42u);
-  EXPECT_EQ(shard_substream_seed(0xdeadbeef, 0), 0xdeadbeefULL);
-}
-
-TEST(ShardSeeds, SubstreamsAreDistinctAndDeterministic) {
-  std::set<std::uint64_t> seeds;
-  for (std::uint32_t shard = 0; shard < 16; ++shard) {
-    const std::uint64_t s = shard_substream_seed(42, shard);
-    EXPECT_EQ(s, shard_substream_seed(42, shard));
-    seeds.insert(s);
-  }
-  EXPECT_EQ(seeds.size(), 16u);
-}
-
-// ------------------------------------------------------------- facade unit
 
 std::vector<std::shared_ptr<CdfModel>> fixed_models(std::size_t n,
                                                     double value_ms) {
@@ -99,6 +42,65 @@ ControlPlaneOptions one_class_options() {
   options.classes = {{.slo_ms = 20.0, .percentile = 99.0}};
   return options;
 }
+
+// ------------------------------------------------------------------ router
+
+ShardedControlPlane routed_plane(RouterKind kind, std::uint32_t num_shards) {
+  return ShardedControlPlane(
+      ShardingOptions{.num_shards = num_shards, .router = kind},
+      one_class_options(), fixed_models(1, 5.0));
+}
+
+TEST(ShardRouter, PureInRangeAndStable) {
+  for (const RouterKind kind :
+       {RouterKind::kHash, RouterKind::kRoundRobin, RouterKind::kClassAffinity}) {
+    const ShardedControlPlane cp = routed_plane(kind, 4);
+    for (std::uint64_t key = 0; key < 200; ++key) {
+      const std::uint32_t first = cp.route(key, key % 3);
+      EXPECT_LT(first, 4u);
+      // Pure function of (key, cls, num_shards): no internal state drift.
+      EXPECT_EQ(cp.route(key, key % 3), first);
+    }
+  }
+}
+
+TEST(ShardRouter, RoundRobinAndClassAffinityAreModular) {
+  const ShardedControlPlane rr = routed_plane(RouterKind::kRoundRobin, 5);
+  const ShardedControlPlane ca = routed_plane(RouterKind::kClassAffinity, 5);
+  for (std::uint64_t key = 0; key < 64; ++key) {
+    EXPECT_EQ(rr.route(key, 2), key % 5);
+    EXPECT_EQ(ca.route(key, 2), 2u % 5);
+    EXPECT_EQ(ca.route(key, 7), 7u % 5);
+  }
+}
+
+TEST(ShardRouter, HashCoversEveryShard) {
+  const ShardedControlPlane cp = routed_plane(RouterKind::kHash, 8);
+  std::set<std::uint32_t> seen;
+  for (std::uint64_t key = 0; key < 1000; ++key) seen.insert(cp.route(key, 0));
+  EXPECT_EQ(seen.size(), 8u);
+}
+
+// ------------------------------------------------------------------- seeds
+
+TEST(ShardSeeds, ShardZeroKeepsBaseSeed) {
+  // The shard=1 parity invariant hinges on this: shard 0 must draw from the
+  // exact stream an unsharded control plane would.
+  EXPECT_EQ(shard_substream_seed(42, 0), 42u);
+  EXPECT_EQ(shard_substream_seed(0xdeadbeef, 0), 0xdeadbeefULL);
+}
+
+TEST(ShardSeeds, SubstreamsAreDistinctAndDeterministic) {
+  std::set<std::uint64_t> seeds;
+  for (std::uint32_t shard = 0; shard < 16; ++shard) {
+    const std::uint64_t s = shard_substream_seed(42, shard);
+    EXPECT_EQ(s, shard_substream_seed(42, shard));
+    seeds.insert(s);
+  }
+  EXPECT_EQ(seeds.size(), 16u);
+}
+
+// ------------------------------------------------------------- facade unit
 
 TEST(ShardedControlPlane, StridedQueryIdsRecoverOwningShard) {
   ShardedControlPlane cp(ShardingOptions{.num_shards = 2},
@@ -138,12 +140,9 @@ TEST(ShardedControlPlane, ShardsBudgetIndependentlyFromClonedModels) {
 
 // -------------------------------------------------------------- delta sync
 
-ShardedControlPlane two_shard_plane(double sync_ms = 10.0,
-                                    std::size_t sample_cap = 256) {
+ShardedControlPlane two_shard_plane(double sync_ms = 10.0) {
   return ShardedControlPlane(
-      ShardingOptions{.num_shards = 2,
-                      .sync_interval_ms = sync_ms,
-                      .max_sync_samples_per_server = sample_cap},
+      ShardingOptions{.num_shards = 2, .sync_interval_ms = sync_ms},
       one_class_options(), streaming_models(3));
 }
 
@@ -158,41 +157,43 @@ TEST(ShardedControlPlane, CollectDeltaConsumesPendingState) {
   cp.observe_post_queuing_on(0, /*server=*/1, 4.0);
   cp.observe_post_queuing_on(0, /*server=*/1, 6.0);
 
-  ShardDelta delta = cp.collect_delta(0);
-  EXPECT_EQ(delta.origin, 0u);
-  EXPECT_EQ(delta.seq, 1u);
-  ASSERT_EQ(delta.servers.size(), 1u);
-  EXPECT_EQ(delta.servers[0].server, 1u);
-  EXPECT_EQ(delta.servers[0].samples_ms, (std::vector<double>{4.0, 6.0}));
+  cp.sync_now(10.0);
+  EXPECT_EQ(observations_of(cp, 1, 1), 2u);
+  EXPECT_EQ(observations_of(cp, 1, 0), 0u);
+  // Shard 1 now models server 1 from exactly what shard 0 observed.
+  for (const double t : {3.0, 4.0, 5.0, 6.0, 7.0})
+    EXPECT_EQ(cp.model_of(1, 1).cdf(t), cp.model_of(0, 1).cdf(t)) << t;
 
-  // Pending state is consumed: the next delta is empty, with seq advanced.
-  const ShardDelta again = cp.collect_delta(0);
-  EXPECT_TRUE(again.empty());
-  EXPECT_EQ(again.seq, 2u);
+  // Pending state is consumed: the next round ships nothing.
+  cp.sync_now(20.0);
+  EXPECT_EQ(observations_of(cp, 1, 1), 2u);
+  EXPECT_EQ(cp.sync_stats().rounds, 2u);
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 2u);
 }
 
 TEST(ShardedControlPlane, AbsorbAppliesOnceAndDedupsRedelivery) {
+  // In-process nothing is redelivered: a round reads the pending buffers
+  // and clears them, so a later round cannot apply a sample twice.
   auto cp = two_shard_plane();
   for (int i = 0; i < 10; ++i) cp.observe_post_queuing_on(0, 0, 1.0 + i);
-  const ShardDelta delta = cp.collect_delta(0);
 
-  ASSERT_TRUE(cp.absorb_remote_delta(1, delta, /*now=*/5.0));
+  cp.sync_now(5.0);
   EXPECT_EQ(observations_of(cp, 1, 0), 10u);
-
-  // Redelivery of the same (origin, seq) must be dropped, not re-applied.
-  EXPECT_FALSE(cp.absorb_remote_delta(1, delta, 6.0));
+  cp.sync_now(6.0);
   EXPECT_EQ(observations_of(cp, 1, 0), 10u);
-  EXPECT_EQ(cp.sync_stats().duplicates_dropped, 1u);
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 10u);
 }
 
 TEST(ShardedControlPlane, AbsorbedSamplesAreNeverRebroadcast) {
   // Echo amplification guard: what shard 1 absorbed from shard 0 must not
-  // appear in shard 1's own next outbound delta.
+  // come back to shard 0 in the next round.
   auto cp = two_shard_plane();
   cp.observe_post_queuing_on(0, 0, 3.0);
-  ASSERT_TRUE(cp.absorb_remote_delta(1, cp.collect_delta(0), 1.0));
-  const ShardDelta out = cp.collect_delta(1);
-  EXPECT_TRUE(out.empty());
+  cp.sync_now(1.0);
+  EXPECT_EQ(observations_of(cp, 1, 0), 1u);
+  cp.sync_now(2.0);
+  EXPECT_EQ(observations_of(cp, 0, 0), 1u);
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 1u);
 }
 
 TEST(ShardedControlPlane, SyncRoundSpreadsSamplesToAllShards) {
@@ -213,12 +214,62 @@ TEST(ShardedControlPlane, SyncRoundSpreadsSamplesToAllShards) {
 }
 
 TEST(ShardedControlPlane, SampleCapThinsDeterministically) {
-  auto cp = two_shard_plane(/*sync_ms=*/10.0, /*sample_cap=*/4);
-  for (int i = 0; i < 10; ++i) cp.observe_post_queuing_on(0, 0, 1.0 * i);
-  const ShardDelta delta = cp.collect_delta(0);
-  ASSERT_EQ(delta.servers.size(), 1u);
-  EXPECT_EQ(delta.servers[0].samples_ms.size(), 4u);
-  EXPECT_EQ(delta.servers[0].samples_dropped, 6u);
+  // 1,000 pending samples on one server; a round ships the 256-sample cap,
+  // the evenly strided subset buf[i * 1000 / 256].
+  auto cp = two_shard_plane();
+  std::vector<double> pending;
+  for (int i = 0; i < 1000; ++i) {
+    pending.push_back(0.01 * i);
+    cp.observe_post_queuing_on(0, 0, pending.back());
+  }
+  StreamingCdfModel expected;
+  for (std::size_t i = 0; i < 256; ++i)
+    expected.observe(pending[i * pending.size() / 256]);
+
+  cp.sync_now(10.0);
+  EXPECT_EQ(observations_of(cp, 1, 0), 256u);
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 256u);
+  for (double t = 0.0; t < 10.0; t += 0.25)
+    EXPECT_EQ(cp.model_of(1, 0).cdf(t), expected.cdf(t)) << t;
+}
+
+TEST(ShardedControlPlane, ThreeShardRoundDeliversEveryShardsStateOnce) {
+  ControlPlaneOptions options = one_class_options();
+  options.admission = AdmissionOptions{};
+  ShardedControlPlane cp(
+      ShardingOptions{.num_shards = 3, .sync_interval_ms = 10.0}, options,
+      streaming_models(3));
+  // Shard s observes s + 1 samples of its own value on server s and records
+  // 10 dequeues, s * s + 1 of them missed: 6 samples, and 8 misses in 30
+  // dequeues overall, a ratio no shard has on its own.
+  const std::vector<ServerId> servers = {0};
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    for (std::uint32_t k = 0; k <= s; ++k)
+      cp.observe_post_queuing_on(s, /*server=*/s, 1.0 + s);
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      const QueryPlan plan = cp.begin_query(s, 0.0, 0, servers);
+      cp.record_task_dequeue(plan.id, 1.0, 0, /*missed=*/i <= s * s);
+      cp.complete_task(plan.id);
+    }
+  }
+  const auto expect_synced = [&] {
+    for (std::uint32_t shard = 0; shard < 3; ++shard) {
+      SCOPED_TRACE(shard);
+      // Its own samples plus both other shards', each exactly once.
+      for (ServerId server = 0; server < 3; ++server)
+        EXPECT_EQ(observations_of(cp, shard, server), server + 1u);
+      // Its own dequeues plus the other shards' misses.
+      EXPECT_DOUBLE_EQ(cp.admission_miss_ratio(shard, 10.0), 8.0 / 30.0);
+    }
+  };
+  cp.sync_now(10.0);
+  expect_synced();
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 2u * 6u);
+  // No echo: a second round finds every pending buffer empty.
+  cp.sync_now(10.0);
+  expect_synced();
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 2u * 6u);
+  EXPECT_EQ(cp.sync_stats().rounds, 2u);
 }
 
 TEST(ShardedControlPlane, MaybeSyncHonoursIntervalBoundaries) {
@@ -253,52 +304,6 @@ TEST(ShardedControlPlane, RemoteDequeuesFeedAdmissionWindowOnly) {
   // Global per-class accounting still counts each task exactly once.
   EXPECT_EQ(cp.tasks_recorded(), 40u);
   EXPECT_EQ(cp.tasks_missed(), 40u);
-}
-
-// ---------------------------------------------------------- dedup and bus
-
-TEST(DeltaDedup, AcceptsStrictlyNewerSeqPerOrigin) {
-  DeltaDedup dedup;
-  EXPECT_TRUE(dedup.accept(0, 1));
-  EXPECT_FALSE(dedup.accept(0, 1));
-  EXPECT_TRUE(dedup.accept(0, 3));
-  EXPECT_FALSE(dedup.accept(0, 2));  // late arrival below the high-water mark
-  EXPECT_TRUE(dedup.accept(1, 1));   // origins are independent
-  EXPECT_EQ(dedup.duplicates_dropped(), 2u);
-}
-
-TEST(StateSyncBus, BroadcastsToEveryShardExceptOrigin) {
-  StateSyncBus bus(3);
-  ShardDelta delta;
-  delta.origin = 1;
-  delta.seq = 1;
-  delta.dequeues_recorded = 5;
-  bus.publish(delta);
-  EXPECT_TRUE(bus.drain(1).empty());
-  const auto for_0 = bus.drain(0);
-  const auto for_2 = bus.drain(2);
-  ASSERT_EQ(for_0.size(), 1u);
-  ASSERT_EQ(for_2.size(), 1u);
-  EXPECT_EQ(for_0[0], delta);
-  // Drain empties the inbox.
-  EXPECT_TRUE(bus.drain(0).empty());
-  EXPECT_EQ(bus.deltas_published(), 1u);
-  EXPECT_EQ(bus.deltas_delivered(), 2u);
-}
-
-TEST(StateSyncBus, InboxesAreFifo) {
-  StateSyncBus bus(2);
-  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    ShardDelta delta;
-    delta.origin = 0;
-    delta.seq = seq;
-    delta.dequeues_recorded = seq;
-    bus.publish(delta);
-  }
-  const auto inbox = bus.drain(1);
-  ASSERT_EQ(inbox.size(), 3u);
-  EXPECT_EQ(inbox[0].seq, 1u);
-  EXPECT_EQ(inbox[2].seq, 3u);
 }
 
 // ------------------------------------------------- weighted admission merge

@@ -473,8 +473,8 @@ void check_control_plane_boundary(const FileCtx& ctx) {
     return;
   // The sharding facade is the single sanctioned owner of QueryControlPlane
   // replicas; everything else — backends and the rest of src/shard — talks
-  // to ShardedControlPlane, and cross-shard state flows through StateSyncBus
-  // deltas only.
+  // to ShardedControlPlane, and cross-shard state flows through its sync
+  // round only.
   const bool is_facade = ctx.path == "src/shard/sharded_control_plane.h" ||
                          ctx.path == "src/shard/sharded_control_plane.cc";
   static constexpr std::array<std::string_view, 3> kComponents = {
@@ -508,8 +508,8 @@ void check_control_plane_boundary(const FileCtx& ctx) {
                  "'QueryControlPlane' referenced outside the sharding facade; "
                  "a shard's replica is private to "
                  "shard/sharded_control_plane.{h,cc} — backends drive a "
-                 "ShardedControlPlane, and cross-shard state moves only as "
-                 "StateSyncBus deltas, never by reaching into another "
+                 "ShardedControlPlane, and cross-shard state moves only "
+                 "in its sync round, never by reaching into another "
                  "shard's plane");
       fired = true;
     }
@@ -892,7 +892,7 @@ std::string rule_summary() {
       "src/shard must drive shard/sharded_control_plane.h, not "
       "DeadlineEstimator/QueryTracker/AdmissionController directly; "
       "QueryControlPlane replicas are private to the sharding facade "
-      "(cross-shard state flows through StateSyncBus deltas only); "
+      "(cross-shard state flows through its sync round only); "
       "concrete placement policy classes (LeastLoadedPolicy/PowerOfDPolicy) "
       "are off-limits everywhere in those dirs, facade included — placement "
       "is selected via PlacementPolicyOptions; src/runtime and src/net run "
