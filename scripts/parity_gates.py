@@ -14,7 +14,10 @@ TAILGUARD_BENCH_SCALE=0.05 and writes into a temporary directory:
     other.
 
 The comparison is bench_parity.py's (everything but wall_ms). Exits 1 when
-any pair differs.
+any pair differs. A change meant to move the two sweeps' outputs
+regenerates results/parity/ and says why. Like the e2e digests, the
+references rely on libm giving the same log/exp results. Registered in
+ctest as `parity_gates` with the label `parity`.
 """
 
 import os

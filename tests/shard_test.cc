@@ -152,65 +152,29 @@ std::uint64_t observations_of(const ShardedControlPlane& cp,
       .observations();
 }
 
-TEST(ShardedControlPlane, CollectDeltaConsumesPendingState) {
-  auto cp = two_shard_plane();
-  cp.observe_post_queuing_on(0, /*server=*/1, 4.0);
-  cp.observe_post_queuing_on(0, /*server=*/1, 6.0);
-
-  cp.sync_now(10.0);
-  EXPECT_EQ(observations_of(cp, 1, 1), 2u);
-  EXPECT_EQ(observations_of(cp, 1, 0), 0u);
-  // Shard 1 now models server 1 from exactly what shard 0 observed.
-  for (const double t : {3.0, 4.0, 5.0, 6.0, 7.0})
-    EXPECT_EQ(cp.model_of(1, 1).cdf(t), cp.model_of(0, 1).cdf(t)) << t;
-
-  // Pending state is consumed: the next round ships nothing.
-  cp.sync_now(20.0);
-  EXPECT_EQ(observations_of(cp, 1, 1), 2u);
-  EXPECT_EQ(cp.sync_stats().rounds, 2u);
-  EXPECT_EQ(cp.sync_stats().samples_shipped, 2u);
-}
-
-TEST(ShardedControlPlane, AbsorbAppliesOnceAndDedupsRedelivery) {
-  // In-process nothing is redelivered: a round reads the pending buffers
-  // and clears them, so a later round cannot apply a sample twice.
-  auto cp = two_shard_plane();
-  for (int i = 0; i < 10; ++i) cp.observe_post_queuing_on(0, 0, 1.0 + i);
-
-  cp.sync_now(5.0);
-  EXPECT_EQ(observations_of(cp, 1, 0), 10u);
-  cp.sync_now(6.0);
-  EXPECT_EQ(observations_of(cp, 1, 0), 10u);
-  EXPECT_EQ(cp.sync_stats().samples_shipped, 10u);
-}
-
-TEST(ShardedControlPlane, AbsorbedSamplesAreNeverRebroadcast) {
-  // Echo amplification guard: what shard 1 absorbed from shard 0 must not
-  // come back to shard 0 in the next round.
-  auto cp = two_shard_plane();
-  cp.observe_post_queuing_on(0, 0, 3.0);
-  cp.sync_now(1.0);
-  EXPECT_EQ(observations_of(cp, 1, 0), 1u);
-  cp.sync_now(2.0);
-  EXPECT_EQ(observations_of(cp, 0, 0), 1u);
-  EXPECT_EQ(cp.sync_stats().samples_shipped, 1u);
-}
-
 TEST(ShardedControlPlane, SyncRoundSpreadsSamplesToAllShards) {
   auto cp = two_shard_plane();
-  for (int i = 0; i < 8; ++i) cp.observe_post_queuing_on(0, 2, 2.0);
+  for (int i = 0; i < 8; ++i) cp.observe_post_queuing_on(0, 2, 2.0 + 0.5 * i);
   EXPECT_EQ(observations_of(cp, 1, 2), 0u);
   cp.sync_now(10.0);
   EXPECT_EQ(observations_of(cp, 1, 2), 8u);
+  EXPECT_EQ(observations_of(cp, 1, 0), 0u);
+  // Shard 1 now models server 2 from exactly what shard 0 observed.
+  for (double t = 1.5; t < 6.0; t += 0.25)
+    EXPECT_EQ(cp.model_of(1, 2).cdf(t), cp.model_of(0, 2).cdf(t)) << t;
   // Each shard keeps counting its own observations exactly once.
   EXPECT_EQ(observations_of(cp, 0, 2), 8u);
   EXPECT_EQ(cp.sync_stats().rounds, 1u);
   EXPECT_EQ(cp.sync_stats().samples_shipped, 8u);
 
-  // A second round with nothing new ships nothing.
+  // Pending state is consumed: the next round ships only the new sample,
+  // and what shard 1 absorbed does not echo back to shard 0.
+  cp.observe_post_queuing_on(0, 2, 7.0);
   cp.sync_now(20.0);
-  EXPECT_EQ(observations_of(cp, 1, 2), 8u);
-  EXPECT_EQ(cp.sync_stats().samples_shipped, 8u);
+  EXPECT_EQ(observations_of(cp, 1, 2), 9u);
+  EXPECT_EQ(observations_of(cp, 0, 2), 9u);
+  EXPECT_EQ(cp.sync_stats().rounds, 2u);
+  EXPECT_EQ(cp.sync_stats().samples_shipped, 9u);
 }
 
 TEST(ShardedControlPlane, SampleCapThinsDeterministically) {
