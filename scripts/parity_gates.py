@@ -6,16 +6,17 @@
 BENCH_DIR holds the built bench binaries. Every run uses
 TAILGUARD_BENCH_SCALE=0.05 and writes into a temporary directory:
 
-  * shard_staleness and placement_policies, compared with the committed
-    results/parity/BENCH_*.json (streaming models under shards, sync
-    staleness and every placement policy);
-  * fig4_single_class_maxload and fig5_two_class_maxload at
-    TAILGUARD_THREADS=1 and at the default thread count, compared with each
-    other.
+  * shard_staleness, placement_policies and ext_network_delay, compared
+    with the committed results/parity/BENCH_*.json (streaming models under
+    shards, sync staleness, every placement policy, and the network model's
+    dispatch and result events);
+  * fig4_single_class_maxload and fig5_two_class_maxload at the default
+    thread count, compared with their committed references, and at
+    TAILGUARD_THREADS=1, compared with the default-thread run.
 
 The comparison is bench_parity.py's (everything but wall_ms). Exits 1 when
-any pair differs. A change meant to move the two sweeps' outputs
-regenerates results/parity/ and says why. Like the e2e digests, the
+any pair differs. A change meant to move one of these outputs regenerates
+its reference in results/parity/ and says why. Like the e2e digests, the
 references rely on libm giving the same log/exp results. Registered in
 ctest as `parity_gates` with the label `parity`.
 """
@@ -29,7 +30,8 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_parity  # noqa: E402
 
-REFERENCE_BENCHES = ("shard_staleness", "placement_policies")
+REFERENCE_BENCHES = ("shard_staleness", "placement_policies",
+                     "ext_network_delay")
 THREAD_BENCHES = ("fig4_single_class_maxload", "fig5_two_class_maxload")
 
 
@@ -57,8 +59,10 @@ def main(argv):
             fresh = run(bench_dir, name, tmp / "reference")
             failed += bench_parity.main([argv[0], reference, fresh])
         for name in THREAD_BENCHES:
+            reference = str(parity_dir / f"BENCH_{name}.json")
             serial = run(bench_dir, name, tmp / "serial", threads=1)
             default = run(bench_dir, name, tmp / "default")
+            failed += bench_parity.main([argv[0], reference, default])
             failed += bench_parity.main([argv[0], serial, default])
     return 1 if failed else 0
 

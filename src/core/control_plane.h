@@ -120,12 +120,12 @@ class QueryControlPlane {
 
   /// Picks `count` servers from `candidates` under the configured placement
   /// policy, drawing randomness from the control plane's Rng (see
-  /// core/placement/policy.h for the per-policy contracts). The picks
-  /// replace the contents of `out`; `candidates` is scratch the policy may
-  /// reorder. A caller that reuses both vectors across decisions places
-  /// without allocating.
-  void place(std::vector<PlacementCandidate>& candidates, std::size_t count,
-             std::vector<ServerId>& out) {
+  /// core/placement/policy.h for the per-policy contracts and costs). The
+  /// picks replace the contents of `out`; `candidates` is only read, so a
+  /// caller may keep one view across decisions. A caller that also reuses
+  /// `out` places without allocating.
+  void place(std::span<const PlacementCandidate> candidates,
+             std::size_t count, std::vector<ServerId>& out) {
     ++placement_stats_.decisions;
     placement_stats_.candidates_considered +=
         placement_policy_->place(candidates, count, rng_, out);

@@ -6,11 +6,15 @@
 //
 //   least_loaded  — sort every candidate by load, random tie-break, take the
 //                   first kf; the default, and the paper's behaviour.
+//                   O(n log n) per call, one draw per candidate.
 //   pow_d         — power-of-d-choices: per replica, sample d candidates
 //                   uniformly (without replacement) and take the least
-//                   loaded. O(d·kf) instead of O(n log n), and all draws
-//                   come from the caller's Rng, so runs are deterministic
-//                   for a fixed seed at any thread count.
+//                   loaded. A call costs O(kf·d) reads, writes and draws
+//                   whatever n is, plus O(n) once when n first exceeds
+//                   every earlier call's.
+//
+// All draws come from the caller's Rng, so runs are deterministic for a
+// fixed seed at any thread count.
 //
 // Backends never name these classes: they call the control-plane facade's
 // place(), and selection is configuration (PlacementPolicyOptions). The
@@ -19,6 +23,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,12 +57,12 @@ class PlacementPolicy {
   /// Fills `out` with `count` servers drawn from `candidates` (load, server)
   /// pairs — distinct while count <= candidates.size(), round-robin reuse
   /// beyond that (a server is down and the rest must absorb its share).
-  /// `candidates` is caller-owned scratch the policy may reorder or rewrite.
+  /// `candidates` is read only, so a caller may keep one view across calls.
   /// All randomness comes from `rng`. Returns the number of candidates the
   /// policy examined (observability: pow_d looks at d per pick,
   /// least_loaded at all n).
   /// Precondition: !candidates.empty() when count > 0.
-  virtual std::size_t place(std::vector<PlacementCandidate>& candidates,
+  virtual std::size_t place(std::span<const PlacementCandidate> candidates,
                             std::size_t count, Rng& rng,
                             std::vector<ServerId>& out) = 0;
 };
@@ -69,9 +74,12 @@ class LeastLoadedPolicy final : public PlacementPolicy {
   PlacementPolicyKind kind() const override {
     return PlacementPolicyKind::kLeastLoaded;
   }
-  std::size_t place(std::vector<PlacementCandidate>& candidates,
+  std::size_t place(std::span<const PlacementCandidate> candidates,
                     std::size_t count, Rng& rng,
                     std::vector<ServerId>& out) override;
+
+ private:
+  std::vector<PlacementCandidate> sorted_;  // scratch: the ranked copy
 };
 
 class PowerOfDPolicy final : public PlacementPolicy {
@@ -81,13 +89,21 @@ class PowerOfDPolicy final : public PlacementPolicy {
   PlacementPolicyKind kind() const override {
     return PlacementPolicyKind::kPowerOfD;
   }
-  std::size_t place(std::vector<PlacementCandidate>& candidates,
+  std::size_t place(std::span<const PlacementCandidate> candidates,
                     std::size_t count, Rng& rng,
                     std::vector<ServerId>& out) override;
 
  private:
+  /// Puts the slots the current round moved back to the identity.
+  void reset_touched();
+
   std::size_t d_;
-  std::vector<std::size_t> avail_;  // scratch: candidate indices still unpicked
+  /// Candidate indices, unpicked ones first. The identity between calls, so
+  /// a round starts without an O(n) refill; a call resets what it moved:
+  /// the sampled prefix avail_[0, prefix_) and the slots in touched_.
+  std::vector<std::size_t> avail_;
+  std::size_t prefix_ = 0;
+  std::vector<std::size_t> touched_;  // slots swapped into the prefix
 };
 
 std::unique_ptr<PlacementPolicy> make_placement_policy(

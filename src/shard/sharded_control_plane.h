@@ -129,8 +129,9 @@ class ShardedControlPlane {
   /// Placement under the shard's configured policy (every shard shares one
   /// PlacementPolicyOptions; see QueryControlPlane::place for the
   /// out-parameter contract).
-  void place(std::uint32_t shard, std::vector<PlacementCandidate>& candidates,
-             std::size_t count, std::vector<ServerId>& out) {
+  void place(std::uint32_t shard,
+             std::span<const PlacementCandidate> candidates, std::size_t count,
+             std::vector<ServerId>& out) {
     shards_[shard]->place(candidates, count, out);
   }
   /// The trailing ClassId / TimeMs are unused: bench/e2e's replay passes them.

@@ -1,23 +1,25 @@
 // The simulator's future event set (sim/simulator.cc's event loop).
 //
-// Two backings, both yielding the identical event sequence (exact
-// (time, key) order); the run's shape picks one:
+// One shape for every run, split by event kind:
 //
-//   * dense — whenever the run has no network model. Then every event is a
-//     kTaskDone and a server has at most one outstanding, so the event set
-//     is just "completion time per busy server": push is a store plus an
-//     argmin update, pop rescans one 8-server block and the block minima.
+//   * a completion calendar for kTaskDone. A server runs one task at a
+//     time, so it has at most one completion pending: the calendar is
+//     "completion time per busy server". Push is a store plus an argmin
+//     update, pop rescans one 8-server block and the block minima.
 //     O(num_servers/8) beats a tree because the whole structure is a few
 //     flat cache lines.
-//   * heap — binary heap, the general-purpose backing (network runs). At
-//     the ~hundred pending events of the tested configurations its ~7
-//     hot-line compares also beat the exact-order timer wheel's slot walk
-//     (see bench/micro_core_ops for where the wheel's radix filing wins).
+//   * a 4-ary min-heap for the network model's kTaskEnqueue and
+//     kResultArrival events, the only kinds in flight in numbers that the
+//     run does not bound by its server count. Both sifts move a hole and
+//     store the sifted event once. Without a network model it stays empty.
+//
+// pop() takes the smaller of the calendar minimum and the heap top under
+// Event's operator>. Every live event has a unique (time, key), so the
+// merge pops the exact (time, key) order of one combined queue.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -71,63 +73,92 @@ class EventQueue {
  public:
   static constexpr double kIdle = std::numeric_limits<double>::infinity();
 
-  /// `dense_servers` > 0 marks the run dense (every event will be a
-  /// kTaskDone with payload 0, at most one pending per server) with that
-  /// many servers; 0 selects the heap, reserved for `expected` events.
-  EventQueue(std::size_t expected, std::size_t dense_servers)
-      : dense_(dense_servers > 0) {
-    if (dense_) {
-      const std::size_t padded = (dense_servers + kBlock - 1) & ~(kBlock - 1);
-      done_.assign(padded, kIdle);
-      // Rounded up to an even count (any extra entry pinned at kIdle) so
-      // the SSE2 rescan can always load block minima two at a time.
-      block_min_.assign((padded / kBlock + 1) & ~std::size_t{1}, kIdle);
-    } else {
-      heap_.reserve(expected);
-    }
+  /// A calendar for `num_servers` servers and a heap reserved for
+  /// `network_events` in-flight kTaskEnqueue / kResultArrival events.
+  EventQueue(std::size_t num_servers, std::size_t network_events) {
+    const std::size_t padded = (num_servers + kBlock - 1) & ~(kBlock - 1);
+    done_.assign(padded, kIdle);
+    // Rounded up to an even count (any extra entry pinned at kIdle) so
+    // the SSE2 rescan can always load block minima two at a time.
+    block_min_.assign((padded / kBlock + 1) & ~std::size_t{1}, kIdle);
+    heap_.reserve(network_events);
   }
 
   void push(const Event& e) {
-    if (dense_) {
-      TG_DCHECK(e.kind() == Event::kTaskDone && e.payload() == 0);
-      const std::uint32_t sid = e.server();
-      TG_DCHECK(done_[sid] == kIdle);
-      done_[sid] = e.time;
-      if (e.time < block_min_[sid / kBlock]) block_min_[sid / kBlock] = e.time;
-      if (count_ == 0 || e.time < min_time_ ||
-          (e.time == min_time_ && sid < min_idx_)) {
-        min_time_ = e.time;
-        min_idx_ = sid;
-      }
-      ++count_;
-    } else {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    if (e.kind() != Event::kTaskDone) {
+      push_heap(e);
+      return;
     }
+    TG_DCHECK(e.payload() == 0);
+    const std::uint32_t sid = e.server();
+    TG_DCHECK(done_[sid] == kIdle);
+    done_[sid] = e.time;
+    if (e.time < block_min_[sid / kBlock]) block_min_[sid / kBlock] = e.time;
+    if (count_ == 0 || e.time < min_time_ ||
+        (e.time == min_time_ && sid < min_idx_)) {
+      min_time_ = e.time;
+      min_idx_ = sid;
+    }
+    ++count_;
   }
 
   Event pop() {
-    if (dense_) {
-      const Event out(min_time_, Event::kTaskDone, min_idx_);
-      done_[min_idx_] = kIdle;
-      --count_;
-      refresh_block(min_idx_ / kBlock);
-      if (count_ != 0) rescan();
-      return out;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Event e = heap_.back();
-    heap_.pop_back();
-    return e;
+    const Event done(min_time_, Event::kTaskDone, min_idx_);
+    // An empty calendar's minimum is kIdle, so a non-empty heap wins.
+    if (!heap_.empty() && done > heap_.front()) return pop_heap();
+    done_[min_idx_] = kIdle;
+    refresh_block(min_idx_ / kBlock);
+    if (--count_ != 0) rescan();
+    else min_time_ = kIdle;
+    return done;
   }
 
-  bool empty() const { return dense_ ? count_ == 0 : heap_.empty(); }
+  bool empty() const { return count_ == 0 && heap_.empty(); }
 
   /// Time of the event pop() would return. Precondition: !empty().
-  TimeMs peek_time() const { return dense_ ? min_time_ : heap_.front().time; }
+  TimeMs peek_time() const {
+    return heap_.empty() ? min_time_ : std::min(min_time_, heap_.front().time);
+  }
 
  private:
   static constexpr std::size_t kBlock = 8;  // one cache line of doubles
+  static constexpr std::size_t kArity = 4;
+
+  // Out of line, so push() stays small enough to inline at the kTaskDone
+  // sites, the only pushes a run without a network model makes.
+  [[gnu::noinline]] void push_heap(const Event& e) {
+    std::size_t hole = heap_.size();
+    heap_.emplace_back();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!(heap_[parent] > e)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = e;
+  }
+
+  Event pop_heap() {
+    const Event top = heap_.front();
+    const Event last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first = hole * kArity + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t child = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (heap_[child] > heap_[c]) child = c;
+      if (!(last > heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = last;
+    return top;
+  }
 
   void refresh_block(std::size_t b) {
     const double* base = done_.data() + b * kBlock;
@@ -147,7 +178,7 @@ class EventQueue {
   }
 
   // First minimal block, then the first minimal server inside it — exactly
-  // the old (time, kind, server) tie order since dense events differ only in
+  // the (time, kind, server) tie order since calendar events differ only in
   // server id. The SSE2 path keeps that order via two exact passes: reduce
   // to the minimum value, then take the first index comparing equal (cmpeq
   // ties resolve to the lowest lane, same as the scalar strict-< scan).
@@ -200,15 +231,14 @@ class EventQueue {
 #endif
   }
 
-  bool dense_;
-  // dense state
+  // completion calendar (kTaskDone)
   std::vector<double> done_;       // completion time per server, kIdle if none
   std::vector<double> block_min_;  // min of each kBlock-server block
   std::size_t count_ = 0;
-  double min_time_ = kIdle;
+  double min_time_ = kIdle;        // kIdle while the calendar is empty
   std::uint32_t min_idx_ = 0;
-  // heap state
-  std::vector<Event> heap_;  // min-heap via std::greater (operator>)
+  // network events (kTaskEnqueue, kResultArrival)
+  std::vector<Event> heap_;        // 4-ary min-heap under operator>
 };
 
 }  // namespace tailguard::sim_detail

@@ -394,20 +394,19 @@ SimResult run_simulation(const SimConfig& config) {
 
   SimResult result;
 
-  // Size hint for the heap backing: one next-arrival event, at most
-  // one kTaskDone per server, and — when the network model is on —
-  // dispatch/result events in flight. The in-flight population scales with
-  // the shard count too: each shard's admission window meters its own slice
-  // of the arrivals, so N shards sustain roughly N times the single-shard
+  // Size hint for the network model's dispatch/result events in flight
+  // (each holds one pooled payload; kTaskDone lives in the event set's
+  // per-server calendar). The in-flight population scales with the shard
+  // count: each shard's admission window meters its own slice of the
+  // arrivals, so N shards sustain roughly N times the single-shard
   // dispatch/result backlog.
-  std::size_t expected_events = config.num_servers + 64;
-  if (config.dispatch_delay_ms != nullptr || config.result_delay_ms != nullptr)
-    expected_events +=
-        std::size_t{4} * config.num_servers * sharding.num_shards;
-  const bool dense_eligible = config.dispatch_delay_ms == nullptr &&
-                              config.result_delay_ms == nullptr;
-  EventQueue events(expected_events,
-                    dense_eligible ? config.num_servers : 0);
+  const bool network_model = config.dispatch_delay_ms != nullptr ||
+                             config.result_delay_ms != nullptr;
+  const std::size_t network_events =
+      network_model
+          ? std::size_t{4} * config.num_servers * sharding.num_shards + 64
+          : 0;
+  EventQueue events(config.num_servers, network_events);
   std::size_t offered = 0;
   TimeMs now = 0.0;
 
@@ -441,6 +440,13 @@ SimResult run_simulation(const SimConfig& config) {
     events.push(Event{t + service, Event::kTaskDone, sid});
   };
 
+  // pow_d's candidate view, kept for the whole run: each server's load
+  // (queued + in service) goes up by one in deliver_task and down by one at
+  // its kTaskDone, so a placement reads only the candidates it samples.
+  std::vector<PlacementCandidate> candidates(config.num_servers);
+  for (std::size_t s = 0; s < config.num_servers; ++s)
+    candidates[s] = {0, static_cast<ServerId>(s)};
+
   // Hands a task to its server's queue (or straight into service). The
   // queue-empty check matters: inside the completion handler the server is
   // momentarily idle *with* a non-empty queue (the head is popped after the
@@ -449,6 +455,7 @@ SimResult run_simulation(const SimConfig& config) {
   const auto deliver_task = [&](const QueuedTask& task, ServerId sid,
                                 TimeMs t) {
     ServerState& sv = servers[sid];
+    ++candidates[sid].first;
     if (sv.busy || sv.queue_len != 0) {
       // Concrete-pointer dispatch (see ServerState): the wheel/FIFO push
       // inlines here instead of going through the vtable.
@@ -459,12 +466,11 @@ SimResult run_simulation(const SimConfig& config) {
     } else {
       start_task(sv, sid, task, t);
     }
+    TG_DCHECK(candidates[sid].first == sv.queue_len + (sv.busy ? 1u : 0u));
   };
 
   std::vector<ServerId> chosen;
   chosen.reserve(config.num_servers);
-  std::vector<PlacementCandidate> cand_scratch;
-  cand_scratch.reserve(config.num_servers);
 
   // Draws a class id from the configured mix.
   const auto sample_class = [&]() -> ClassId {
@@ -492,20 +498,14 @@ SimResult run_simulation(const SimConfig& config) {
       TG_DCHECK(chosen.size() == kf);
       placed = chosen;
     } else if (informed_placement) {
-      // pow_d: live queue depths (queued + in service) as the candidate
-      // loads, decided by the shard's policy. Each decision costs
-      // an O(n) candidate build; both the candidates and the picks reuse
-      // run-long scratch, so this path allocates nothing either.
+      // pow_d over the run-long candidate view, decided by the shard's
+      // policy: a decision reads the d sampled candidates per pick and
+      // nothing else, and the picks reuse run-long scratch, so this path
+      // allocates nothing either.
       TG_CHECK_MSG(kf <= servers.size(),
                    "fanout " << kf << " exceeds cluster size "
                              << servers.size());
-      cand_scratch.clear();
-      for (std::size_t s = 0; s < servers.size(); ++s) {
-        cand_scratch.emplace_back(
-            servers[s].queue_len + (servers[s].busy ? 1 : 0),
-            static_cast<ServerId>(s));
-      }
-      control.place(shard, cand_scratch, kf, chosen);
+      control.place(shard, candidates, kf, chosen);
       placed = chosen;
     } else {
       default_placement(rng, cls, kf);
@@ -622,7 +622,7 @@ SimResult run_simulation(const SimConfig& config) {
     // shards * total_queries ids even though only total_queries go live.
     record_query_flag.reserve(total_queries * shards);
     control.reserve_queries(total_queries / shards + 1, config.num_servers);
-    if (!dense_eligible) payloads.reserve(expected_events);
+    payloads.reserve(network_events);
     if (request_mode) {
       requests.reserve(total_arrivals, config.num_servers);
       query_request.reserve(total_queries * shards, config.num_servers);
@@ -739,6 +739,7 @@ SimResult run_simulation(const SimConfig& config) {
         // follow-up queries that could land on this very server.
         sv.busy = false;
         sv.busy_accum += now - sv.busy_since;
+        --candidates[ev.server()].first;
 
         if (config.result_delay_ms != nullptr) {
           const std::uint32_t idx = payloads.alloc();
@@ -760,6 +761,8 @@ SimResult run_simulation(const SimConfig& config) {
           --sv.queue_len;
           start_task(sv, ev.server(), next, now);
         }
+        TG_DCHECK(candidates[ev.server()].first ==
+                  sv.queue_len + (sv.busy ? 1u : 0u));
       } else {
         // A task result reaches the query handler.
         const EventPayload payload = payloads[ev.payload()];

@@ -86,8 +86,8 @@ struct SimConfig {
   /// post-queuing time t_po (the online estimator observes it; kExact
   /// estimation does not see it and is correspondingly optimistic).
   /// Unset = zero-delay (central queuing at the handler, the default).
-  /// Either delay moves the future event set from its dense per-server
-  /// form to the binary heap (sim/event_queue.h).
+  /// The dispatch and result events in flight go to the event set's heap;
+  /// completions stay in its per-server calendar (sim/event_queue.h).
   DistributionPtr dispatch_delay_ms;
   DistributionPtr result_delay_ms;
 

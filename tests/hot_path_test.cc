@@ -13,9 +13,11 @@
 //  * A warm query front door (the runtime's and the dispatcher's shared
 //    admit -> place -> register -> merge path) allocates only each query's
 //    promise.
-//  * The event set's two backings (sim/event_queue.h) are interchangeable:
-//    dense and heap pop the identical (time, key) sequence under randomized
-//    pushes, time ties and interleaved pops at several cluster sizes.
+//  * The event set (sim/event_queue.h: a per-server completion calendar
+//    merged with a 4-ary heap of network events) pops in exact (time, key)
+//    order, checked against a sorted reference under randomized pushes of
+//    all three kinds, cross-kind time ties, interleaved pops, a deep heap
+//    and several cluster sizes.
 //  * Batched same-timestamp completion draining is pure restructuring:
 //    repeated runs of one config are bit-identical, with and without a
 //    network model.
@@ -28,6 +30,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,7 +50,10 @@ namespace {
 std::atomic<std::uint64_t> g_news{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, like the sized delete below: GCC 12 otherwise inlines the
+// malloc into a caller and reports the delete as mismatched with it
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -348,57 +354,88 @@ TEST(HotPathAlloc, NoHookMeansZeroReported) {
   set_alloc_count_fn(&news_count);
 }
 
-TEST(EventQueue, DenseAndHeapPopIdenticalSequences) {
+TEST(EventQueue, PopsInExactTimeKeyOrder) {
   using sim_detail::Event;
   using sim_detail::EventQueue;
   constexpr int kRounds = 2000;
-  // 1 and 7 servers pad out their one 8-server block, 20 part-fill the
-  // last of three, 100 span 13 blocks for the block-minimum rescan.
+  constexpr std::size_t kDeepHeap = 1000;
+  // 1 and 7 servers pad out their one 8-server calendar block, 20 part-fill
+  // the last of three, 100 span 13 blocks for the block-minimum rescan.
   for (const std::size_t servers : {1u, 7u, 20u, 100u}) {
-    EventQueue dense(0, servers);
-    EventQueue heap(servers, 0);
+    EventQueue queue(servers, 16);
+    std::set<std::pair<TimeMs, std::uint64_t>> reference;
     std::vector<bool> busy(servers, false);
-    std::size_t pending = 0;
+    std::size_t in_flight = 0;  // kTaskEnqueue + kResultArrival
+    std::uint32_t next_payload = 0;
     Rng rng(servers);
     TimeMs now = 0.0;
-    for (int round = 0; round <= kRounds; ++round) {
-      // As in the simulator, dense holds at most one kTaskDone per server,
-      // so only idle servers get an event. Times sit on a 0.25 ms grid from
-      // `now` on: ties, with each other and with `now`, are common.
-      const auto pushes = round < kRounds ? rng.uniform_index(servers + 1) : 0;
-      for (std::uint64_t i = 0; i < pushes && pending < servers; ++i) {
-        auto sid = static_cast<ServerId>(rng.uniform_index(servers));
-        while (busy[sid]) sid = static_cast<ServerId>((sid + 1) % servers);
+    int round = 0;
+    const auto check = [&] {
+      ASSERT_EQ(queue.empty(), reference.empty())
+          << servers << " servers, round " << round;
+      if (!reference.empty()) {
+        ASSERT_EQ(queue.peek_time(), reference.begin()->first)
+            << servers << " servers, round " << round;
+      }
+    };
+    // Times sit on a 0.25 ms grid from `now` on, so every kind ties with
+    // the others and with `now`. As in the simulator, a server has at most
+    // one kTaskDone pending; network events carry unique payloads.
+    const auto push = [&](Event::Kind kind) {
+      const TimeMs t = now + 0.25 * static_cast<double>(rng.uniform_index(6));
+      const auto sid = static_cast<ServerId>(rng.uniform_index(servers));
+      Event e;
+      if (kind == Event::kTaskDone) {
+        if (busy[sid]) return;
         busy[sid] = true;
-        ++pending;
-        const Event e(now + 0.25 * static_cast<double>(rng.uniform_index(6)),
-                      Event::kTaskDone, sid);
-        dense.push(e);
-        heap.push(e);
+        e = Event(t, kind, sid);
+      } else {
+        ++in_flight;
+        e = Event(t, kind, sid, next_payload++);
       }
-      // The last round drains both.
-      const auto pops =
-          round < kRounds ? rng.uniform_index(pending + 1) : pending;
-      for (std::uint64_t i = 0; i < pops; ++i) {
-        ASSERT_EQ(dense.peek_time(), heap.peek_time()) << servers;
-        const Event a = dense.pop();
-        const Event b = heap.pop();
-        ASSERT_EQ(a.time, b.time) << servers << " servers, round " << round;
-        ASSERT_EQ(a.key, b.key) << servers << " servers, round " << round;
-        busy[a.server()] = false;
-        --pending;
-        now = a.time;
+      queue.push(e);
+      ASSERT_TRUE(reference.emplace(e.time, e.key).second);
+      check();
+    };
+    for (; round <= kRounds; ++round) {
+      // The middle third keeps at least kDeepHeap network events in flight,
+      // so the heap sifts through several levels; the other rounds hold a
+      // handful, as the simulator does. The last round drains the queue.
+      const bool deep = round >= kRounds / 3 && round < 2 * kRounds / 3;
+      const auto pushes = round < kRounds ? rng.uniform_index(servers + 1) : 0;
+      for (std::uint64_t i = 0; i < pushes; ++i)
+        push(static_cast<Event::Kind>(1 + rng.uniform_index(3)));
+      // Beyond servers + kDeepHeap events, at least kDeepHeap are network
+      // events, whatever the pops below take.
+      const std::size_t keep = deep ? servers + kDeepHeap : 0;
+      while (in_flight < keep)
+        push(rng.uniform_index(2) == 0 ? Event::kTaskEnqueue
+                                       : Event::kResultArrival);
+      const std::size_t pops =
+          round == kRounds ? reference.size()
+                           : rng.uniform_index(reference.size() - keep + 1);
+      for (std::size_t i = 0; i < pops; ++i) {
+        const Event e = queue.pop();
+        ASSERT_EQ(e.time, reference.begin()->first)
+            << servers << " servers, round " << round;
+        ASSERT_EQ(e.key, reference.begin()->second)
+            << servers << " servers, round " << round;
+        reference.erase(reference.begin());
+        if (e.kind() == Event::kTaskDone) busy[e.server()] = false;
+        else --in_flight;
+        now = e.time;
+        check();
       }
-      ASSERT_EQ(dense.empty(), heap.empty());
+      if (HasFatalFailure()) return;
     }
-    EXPECT_TRUE(heap.empty());
+    EXPECT_TRUE(queue.empty());
   }
 }
 
 TEST(BatchedCompletionParity, RerunsAreBitIdentical) {
-  // Without a network model the run uses the dense event set; with
-  // dispatch/result delays every timestamp also carries kTaskEnqueue /
-  // kResultArrival payload events on the heap.
+  // Without a network model every event is a kTaskDone in the completion
+  // calendar; with dispatch/result delays every timestamp also carries
+  // kTaskEnqueue / kResultArrival payload events on the heap.
   for (const std::uint64_t seed : {1ULL, 7ULL, 13ULL}) {
     for (const double load : {0.3, 0.7, 0.95}) {
       SimConfig cfg = hot_config(8000, seed);

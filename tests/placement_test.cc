@@ -2,8 +2,11 @@
 //
 //   * least_loaded is bit-identical to the free-function picker it absorbed
 //     (same picks, same Rng stream), kept below as the test oracle;
-//   * pow_d is deterministic for a fixed seed, distinct while possible, and
-//     degenerates to a global least-loaded scan at d >= n;
+//   * pow_d is bit-identical to its full-scan form, which refilled an n-entry
+//     index on every call (the second oracle below); it is deterministic
+//     for a fixed seed, distinct while possible, and degenerates to a
+//     global least-loaded scan at d >= n;
+//   * neither policy writes to the caller's candidates;
 //   * the control plane exposes the per-policy counters;
 //   * in-place percentile selection never perturbs the means computed
 //     before it (floating-point sums are order-sensitive) and matches the
@@ -14,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -74,6 +79,47 @@ std::vector<ServerId> pick_least_loaded(
   return picked;
 }
 
+// PowerOfDPolicy::place as it stood when every call refilled its n-entry
+// index: the oracle the policy must match pick for pick, return value for
+// return value and draw for draw. The loop is verbatim; `avail_` became a
+// local.
+std::size_t power_of_d_full_scan(
+    const std::vector<PlacementCandidate>& candidates, std::size_t d_,
+    std::size_t count, Rng& rng, std::vector<ServerId>& out) {
+  std::vector<std::size_t> avail_;
+  out.clear();
+  if (count == 0) return 0;
+  TG_CHECK_MSG(!candidates.empty(), "placement needs at least one candidate");
+  out.reserve(count);
+  avail_.clear();
+  std::size_t examined = 0;
+  for (std::size_t pick = 0; pick < count; ++pick) {
+    // Distinct while possible: once every candidate has been picked once,
+    // refill and go around again (count > n reuse, as in least_loaded).
+    if (avail_.empty()) {
+      avail_.resize(candidates.size());
+      std::iota(avail_.begin(), avail_.end(), std::size_t{0});
+    }
+    // Sample d distinct candidates via a partial Fisher–Yates over the
+    // still-unpicked indices; keep the least loaded (first-sampled wins
+    // ties, and sampling order is random, so ties break uniformly).
+    const std::size_t d_eff = std::min(d_, avail_.size());
+    std::size_t best = 0;
+    for (std::size_t j = 0; j < d_eff; ++j) {
+      const std::size_t swap_with =
+          j + static_cast<std::size_t>(rng.uniform_index(avail_.size() - j));
+      std::swap(avail_[j], avail_[swap_with]);
+      if (candidates[avail_[j]].first < candidates[avail_[best]].first)
+        best = j;
+    }
+    examined += d_eff;
+    out.push_back(candidates[avail_[best]].second);
+    avail_[best] = avail_.back();
+    avail_.pop_back();
+  }
+  return examined;
+}
+
 std::vector<PlacementCandidate> random_candidates(std::size_t n, Rng& rng) {
   std::vector<PlacementCandidate> candidates;
   candidates.reserve(n);
@@ -95,12 +141,13 @@ TEST(PlacementPolicy, LeastLoadedBitIdenticalToRawPicker) {
     const auto raw = pick_least_loaded(candidates, count, raw_rng);
 
     LeastLoadedPolicy policy;
-    auto scratch = candidates;
+    auto view = candidates;
     std::vector<ServerId> out;
-    const std::size_t examined =
-        policy.place(scratch, count, policy_rng, out);
+    const std::size_t examined = policy.place(view, count, policy_rng, out);
 
     EXPECT_EQ(out, raw) << "count=" << count;
+    EXPECT_EQ(view, candidates)
+        << "the policy wrote to the caller's candidates, count=" << count;
     EXPECT_EQ(examined, count == 0 ? 0u : candidates.size());
     EXPECT_EQ(raw_rng.uniform_index(1u << 20), policy_rng.uniform_index(1u << 20))
         << "Rng streams diverged at count=" << count;
@@ -145,6 +192,49 @@ TEST(PlacementPolicy, PowerOfDDeterministicForFixedSeed) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6)) << "different seeds should explore differently";
+}
+
+TEST(PlacementPolicy, PowerOfDMatchesFullScanOracle) {
+  // The policy keeps its index at the identity between calls and resets
+  // only what a call moved. Each call here draws n in [1, 120] and a count
+  // in [0, 3n + 1], so most calls go around the candidates and refill at
+  // least once. One policy object per d sees n change from call to call,
+  // as the dispatcher's view does when daemons drop out and come back;
+  // d = n + 3 samples every unpicked candidate.
+  constexpr int kCalls = 20000;
+  Rng fill(31);
+  Rng policy_rng(57), oracle_rng(57);
+  std::map<std::size_t, PowerOfDPolicy> policies;  // by d
+  std::vector<ServerId> out, expected;
+  for (int call = 0; call < kCalls; ++call) {
+    const std::size_t n = 1 + fill.uniform_index(120);
+    const std::size_t ds[] = {1, 2, 3, 7, n + 3};
+    const std::size_t d = ds[fill.uniform_index(5)];
+    const std::size_t count = fill.uniform_index(3 * n + 2);
+    // Few distinct loads, so ties are common; ids are not the indices.
+    std::vector<PlacementCandidate> candidates;
+    for (std::size_t i = 0; i < n; ++i)
+      candidates.emplace_back(fill.uniform_index(4),
+                              static_cast<ServerId>(1000 + 7 * i));
+    const auto pristine = candidates;
+
+    PowerOfDPolicy& policy = policies.try_emplace(d, d).first->second;
+    const std::size_t examined =
+        policy.place(candidates, count, policy_rng, out);
+    const std::size_t oracle_examined =
+        power_of_d_full_scan(candidates, d, count, oracle_rng, expected);
+
+    const auto where = [&] {
+      return ::testing::Message() << "call " << call << ": n=" << n
+                                  << " d=" << d << " count=" << count;
+    };
+    ASSERT_EQ(out, expected) << where();
+    ASSERT_EQ(examined, oracle_examined) << where();
+    ASSERT_EQ(policy_rng.uniform_index(1u << 20),
+              oracle_rng.uniform_index(1u << 20))
+        << "Rng streams diverged, " << where();
+    ASSERT_EQ(candidates, pristine) << where();
+  }
 }
 
 TEST(PlacementPolicy, PowerOfDPicksAreDistinctWhilePossible) {
