@@ -44,7 +44,7 @@ class CdfModel {
   /// callers (e.g. the order-statistics cache) can invalidate lazily.
   virtual std::uint64_t version() const { return 0; }
 
-  /// Deep copy of the model's *current* state. Shard replicas clone the seed
+  /// Deep copy of the model's *current* state. Shards > 0 clone the seed
   /// models so each shard evolves its own online view (sharing a mutable
   /// model across shards would make every observation instantly global and
   /// defeat the staleness semantics the delta-sync is meant to expose).

@@ -16,9 +16,10 @@
 // All draws come from the caller's Rng, so runs are deterministic for a
 // fixed seed at any thread count.
 //
-// Backends never name these classes: they call the control-plane facade's
-// place(), and selection is configuration (PlacementPolicyOptions). The
-// tg_lint `control-plane-boundary` rule enforces that.
+// Backends never name these classes: they call
+// ShardedControlPlane::place(), and selection is configuration
+// (PlacementPolicyOptions). The tg_lint `control-plane-boundary` rule
+// enforces that.
 #pragma once
 
 #include <cstddef>

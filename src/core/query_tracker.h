@@ -11,7 +11,7 @@
 // every lookup is two array loads instead of a hash probe. complete_task and
 // state() sit on the per-task hot path of all three backends, so they are
 // defined inline here: the simulator's event loop inlines the whole chain
-// (facade -> control plane -> tracker -> slab) with no cross-TU calls. The
+// (control plane -> tracker -> slab) with no cross-TU calls. The
 // strided form exists for the sharded control plane: shard i of N allocates
 // (i, N), so ids are globally unique across shards and id % N recovers the
 // owning shard. Ids only grow, so begin_query drops the id table's dead

@@ -236,7 +236,10 @@ std::string Weibull::name() const {
 double regularized_gamma_p(double a, double x) {
   TG_CHECK_MSG(a > 0.0, "gamma shape must be positive");
   if (x <= 0.0) return 0.0;
-  const double log_gamma_a = std::lgamma(a);
+  // lgamma_r, not std::lgamma: glibc's lgamma also writes the global
+  // signgam, a data race when simulations run on several threads.
+  int sign = 0;
+  const double log_gamma_a = lgamma_r(a, &sign);
   if (x < a + 1.0) {
     // Series representation.
     double term = 1.0 / a;

@@ -383,24 +383,24 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       // Per-connection dedup: daemons share no origin namespace, so the
       // delta identity over the wire is (connection, seq). Duplicates are
       // dropped, never re-applied — increments stay exactly-once.
-      if (msg.delta.seq <= conn.last_gossip_seq) {
+      if (msg.seq <= conn.last_gossip_seq) {
         ++gossip_duplicates_dropped_;
         break;
       }
-      conn.last_gossip_seq = msg.delta.seq;
+      conn.last_gossip_seq = msg.seq;
       // The daemon doesn't know which ServerId this connection is on our
       // side; every entry rebinds to `server`. Samples are completions no
       // TaskDone brought us: other dispatchers' tasks, or, in a rejoin
       // backfill, tasks whose owner connection was gone. Our own answered
       // tasks never ride a delta, so each reaches this model once.
-      for (const auto& entry : msg.delta.servers) {
+      for (const auto& entry : msg.servers) {
         for (double s : entry.samples_ms)
           door_.control().observe_post_queuing_on(/*shard=*/0, server, s);
         if (entry.has_load) conn.gossip_queue_depth = entry.load_estimate;
       }
       door_.control().absorb_remote_dequeues(/*shard=*/0, now_ms(),
-                                             msg.delta.dequeues_recorded,
-                                             msg.delta.dequeues_missed);
+                                             msg.dequeues_recorded,
+                                             msg.dequeues_missed);
       ++gossip_deltas_absorbed_;
       break;
     }

@@ -19,13 +19,13 @@ constexpr std::size_t kMaxBufferedSamples = 4096;
 /// A daemon's deltas hold one entry. The daemon does not know which of the
 /// dispatcher's servers a connection reaches, so the entry's server id is a
 /// placeholder and receivers rebind it per connection.
-ShardDelta::ServerEntry& entry_of(ShardDelta& delta) {
+GossipDeltaMsg::ServerEntry& entry_of(GossipDeltaMsg& delta) {
   if (delta.servers.empty()) delta.servers.emplace_back();
   return delta.servers.front();
 }
 
-void add_sample(ShardDelta& delta, double sample_ms) {
-  ShardDelta::ServerEntry& entry = entry_of(delta);
+void add_sample(GossipDeltaMsg& delta, double sample_ms) {
+  GossipDeltaMsg::ServerEntry& entry = entry_of(delta);
   if (entry.samples_ms.size() < kMaxBufferedSamples)
     entry.samples_ms.push_back(sample_ms);
   else
@@ -249,7 +249,7 @@ void TaskServer::maybe_gossip(TimeMs now) {
   const std::uint32_t depth = static_cast<std::uint32_t>(queue_depth());
   for (auto& [id, conn] : conns_) {
     if (!conn.hello_done || conn.dead || !conn.fd.valid()) continue;
-    ShardDelta::ServerEntry& entry = entry_of(conn.gossip);
+    GossipDeltaMsg::ServerEntry& entry = entry_of(conn.gossip);
     entry.load_estimate = depth;
     entry.has_load = true;
     send_delta(conn, conn.gossip);
@@ -259,9 +259,9 @@ void TaskServer::maybe_gossip(TimeMs now) {
   next_gossip_ms_ = now + options_.gossip_interval_ms;
 }
 
-void TaskServer::send_delta(Connection& conn, ShardDelta& delta) {
+void TaskServer::send_delta(Connection& conn, GossipDeltaMsg& delta) {
   delta.seq = next_gossip_seq_++;
-  encode_into(GossipDeltaMsg{std::exchange(delta, {})}, conn.out.chunk());
+  encode_into(std::exchange(delta, {}), conn.out.chunk());
   ++gossip_deltas_sent_;
 }
 

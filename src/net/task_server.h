@@ -48,7 +48,7 @@ struct TaskServerOptions {
   /// Delta-gossip period (local-clock ms). When > 0 the server streams each
   /// dispatcher a periodic GossipDelta of the completions *other*
   /// connections produced (samples, miss-window increments) plus a
-  /// queue-depth load gauge, one ShardDelta (net/wire.h) each. 0 (the
+  /// queue-depth load gauge, one GossipDeltaMsg (net/wire.h) each. 0 (the
   /// default) disables gossip: a dispatcher then gets only its TaskDones
   /// and, at Hello, the rejoin backfill.
   TimeMs gossip_interval_ms = 0.0;
@@ -97,7 +97,7 @@ class TaskServer {
     /// that *other* connections submitted. The owning connection's own
     /// completions travel in its TaskDone frames — excluding them here is
     /// what keeps every sample exactly-once per dispatcher.
-    ShardDelta gossip;
+    GossipDeltaMsg gossip;
   };
 
   /// Where a task came from, for routing its TaskDone.
@@ -133,7 +133,7 @@ class TaskServer {
   void maybe_gossip(TimeMs now) TG_REQUIRES(mu_);
   /// The one way a delta leaves: stamps the next seq, queues `delta` on
   /// `conn` as a GossipDelta and leaves `delta` empty.
-  void send_delta(Connection& conn, ShardDelta& delta) TG_REQUIRES(mu_);
+  void send_delta(Connection& conn, GossipDeltaMsg& delta) TG_REQUIRES(mu_);
   void on_task_complete(ServerId executor, const RuntimeTask& task,
                         TimeMs dequeue_ms, TimeMs complete_ms)
       TG_EXCLUDES(mu_);
@@ -165,7 +165,7 @@ class TaskServer {
   std::vector<Submission> submissions_ TG_GUARDED_BY(mu_);
   /// Samples of completions whose owner connection was gone: the next
   /// connection's first delta.
-  ShardDelta orphaned_ TG_GUARDED_BY(mu_);
+  GossipDeltaMsg orphaned_ TG_GUARDED_BY(mu_);
   std::uint64_t tasks_executed_ TG_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_missed_ TG_GUARDED_BY(mu_) = 0;
   /// Shared across connections: strictly increasing overall, hence strictly

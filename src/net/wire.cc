@@ -172,13 +172,12 @@ void encode_into(const StatsResponseMsg& msg, std::vector<std::uint8_t>& out) {
 
 void encode_into(const GossipDeltaMsg& msg, std::vector<std::uint8_t>& out) {
   Writer w(out, MsgType::kGossipDelta);
-  const ShardDelta& d = msg.delta;
-  w.u32(d.origin);
-  w.u64(d.seq);
-  w.u64(d.dequeues_recorded);
-  w.u64(d.dequeues_missed);
-  w.u32(static_cast<std::uint32_t>(d.servers.size()));
-  for (const auto& e : d.servers) {
+  w.u32(0);  // reserved
+  w.u64(msg.seq);
+  w.u64(msg.dequeues_recorded);
+  w.u64(msg.dequeues_missed);
+  w.u32(static_cast<std::uint32_t>(msg.servers.size()));
+  for (const auto& e : msg.servers) {
     w.u32(static_cast<std::uint32_t>(e.server));
     w.u64(e.samples_dropped);
     w.u32(e.load_estimate);
@@ -266,9 +265,10 @@ bool decode(const Frame& frame, StatsResponseMsg* out) {
 bool decode(const Frame& frame, GossipDeltaMsg* out) {
   if (!expect_type(frame, MsgType::kGossipDelta)) return false;
   Reader r(frame.payload);
-  ShardDelta& d = out->delta;
+  GossipDeltaMsg& d = *out;
+  std::uint32_t reserved = 0;  // read and discarded
   std::uint32_t num_servers = 0;
-  if (!(r.u32(&d.origin) && r.u64(&d.seq) && r.u64(&d.dequeues_recorded) &&
+  if (!(r.u32(&reserved) && r.u64(&d.seq) && r.u64(&d.dequeues_recorded) &&
         r.u64(&d.dequeues_missed) && r.u32(&num_servers)))
     return false;
   // More misses than dequeues cannot happen; the admission window would
@@ -281,7 +281,7 @@ bool decode(const Frame& frame, GossipDeltaMsg* out) {
   d.servers.clear();
   d.servers.reserve(num_servers);
   for (std::uint32_t i = 0; i < num_servers; ++i) {
-    ShardDelta::ServerEntry e;
+    GossipDeltaMsg::ServerEntry e;
     std::uint32_t server = 0;
     std::uint8_t has_load = 0;
     std::uint32_t num_samples = 0;

@@ -29,49 +29,6 @@
 
 #include "core/types.h"
 
-namespace tailguard {
-
-/// What a task-server daemon observed since its previous GossipDelta, as
-/// increments a receiver applies once: per-server post-queuing-time samples
-/// (they feed the streaming CDF models) and admission-window dequeue counts,
-/// plus a last-writer-wins queue-depth gauge per server.
-struct ShardDelta {
-  /// Unused: daemons send 0 and the dispatcher ignores it. It stays so the
-  /// frame layout does not change.
-  std::uint32_t origin = 0;
-  /// Strictly increasing along a connection; the dispatcher drops seq <=
-  /// the last one it absorbed there.
-  std::uint64_t seq = 0;
-
-  struct ServerEntry {
-    ServerId server = 0;
-    /// New post-queuing-time observations since the previous delta. May be
-    /// thinned to a cap; `samples_dropped` counts what the thinning lost.
-    std::vector<double> samples_ms;
-    std::uint64_t samples_dropped = 0;
-    /// The sending daemon's queue depth on this server, valid only when
-    /// has_load. A gauge: receivers overwrite, never add. The dispatcher
-    /// folds it into its placement candidates' loads.
-    std::uint32_t load_estimate = 0;
-    bool has_load = false;
-
-    friend bool operator==(const ServerEntry&, const ServerEntry&) = default;
-  };
-  std::vector<ServerEntry> servers;
-
-  /// Admission-window increments since the previous delta.
-  std::uint64_t dequeues_recorded = 0;
-  std::uint64_t dequeues_missed = 0;
-
-  bool empty() const {
-    return servers.empty() && dequeues_recorded == 0 && dequeues_missed == 0;
-  }
-
-  friend bool operator==(const ShardDelta&, const ShardDelta&) = default;
-};
-
-}  // namespace tailguard
-
 namespace tailguard::net {
 
 inline constexpr std::uint16_t kWireMagic = 0x5447;  // "TG"
@@ -89,7 +46,7 @@ enum class MsgType : std::uint8_t {
   // Retired, never reuse: 5 ModelSync, 8 GossipHello (old daemons send them).
   kStatsRequest = 6,  ///< dispatcher -> server: poll server stats
   kStatsResponse = 7, ///< server -> dispatcher: stats snapshot
-  kGossipDelta = 9,   ///< server -> dispatcher: ShardDelta of observations
+  kGossipDelta = 9,   ///< server -> dispatcher: observation increments
 };
 
 /// Handshake. The version is repeated inside the payload so a future frame
@@ -136,15 +93,43 @@ struct TaskDoneMsg {
   friend bool operator==(const TaskDoneMsg&, const TaskDoneMsg&) = default;
 };
 
-/// One ShardDelta on the wire, the daemon's one observation stream besides
-/// TaskDone: incremental CDF samples, admission-window increments and a load
-/// gauge accumulated since the sender's previous delta. A connection's first
-/// delta may be the rejoin backfill, samples only, of completions whose owner
-/// connection was gone. Seqs increase along a connection; receivers drop seq
-/// <= last seen. Sample times are relative durations (ms), like every other
-/// time on the wire.
+/// What a task-server daemon observed since its previous GossipDelta, as
+/// increments a receiver applies once: per-server post-queuing-time samples
+/// (they feed the streaming CDF models) and admission-window dequeue counts,
+/// plus a last-writer-wins queue-depth gauge per server. It is the daemon's
+/// one observation stream besides TaskDone. A connection's first delta may
+/// be the rejoin backfill, samples only, of completions whose owner
+/// connection was gone. Sample times are relative durations (ms), like every
+/// other time on the wire. The payload starts with a reserved u32, written
+/// as 0 and discarded on receipt, which keeps protocol 1's frame layout.
 struct GossipDeltaMsg {
-  ShardDelta delta;
+  /// Strictly increasing along a connection; the dispatcher drops seq <=
+  /// the last one it absorbed there.
+  std::uint64_t seq = 0;
+
+  struct ServerEntry {
+    ServerId server = 0;
+    /// New post-queuing-time observations since the previous delta. May be
+    /// thinned to a cap; `samples_dropped` counts what the thinning lost.
+    std::vector<double> samples_ms;
+    std::uint64_t samples_dropped = 0;
+    /// The sending daemon's queue depth on this server, valid only when
+    /// has_load. A gauge: receivers overwrite, never add. The dispatcher
+    /// folds it into its placement candidates' loads.
+    std::uint32_t load_estimate = 0;
+    bool has_load = false;
+
+    friend bool operator==(const ServerEntry&, const ServerEntry&) = default;
+  };
+  std::vector<ServerEntry> servers;
+
+  /// Admission-window increments since the previous delta.
+  std::uint64_t dequeues_recorded = 0;
+  std::uint64_t dequeues_missed = 0;
+
+  bool empty() const {
+    return servers.empty() && dequeues_recorded == 0 && dequeues_missed == 0;
+  }
 
   friend bool operator==(const GossipDeltaMsg&, const GossipDeltaMsg&) =
       default;

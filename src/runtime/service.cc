@@ -160,7 +160,7 @@ std::shared_ptr<const CdfModel> TailGuardService::worker_model(
     ServerId worker) const {
   auto locks = lock_all();
   // Shard 0's view: with one handler shard (the default) this is the only
-  // view; with several it is one replica's local+synced estimate. Deep-copy
+  // view; with several it is one shard's local+synced estimate. Deep-copy
   // under the locks: handing out a reference would race with the online
   // updates the worker threads keep applying.
   return door_.control().model_of(0, worker).clone();

@@ -45,7 +45,7 @@ struct ServiceOptions {
   std::optional<AdmissionOptions> admission;
   std::uint64_t seed = 42;
   /// Query-handler sharding (src/shard): submissions are routed across this
-  /// many control-plane replicas, each behind its own mutex, with periodic
+  /// many control-plane shards, each behind its own mutex, with periodic
   /// delta-sync of model and admission state. 1 (the default) preserves the
   /// single-handler behaviour exactly.
   std::uint32_t num_handler_shards = 1;
@@ -131,7 +131,7 @@ class TailGuardService {
   // tg-lint: allow(guarded-member): immutable after construction.
   std::chrono::steady_clock::time_point epoch_;
 
-  /// The query handler over N control-plane replicas with delta-sync. Calls
+  /// The query handler over N control-plane shards with delta-sync. Calls
   /// on shard i hold shard_mu_[i] (all its mutable state is per-shard; i is
   /// a runtime value, so TSA cannot express it); cross-shard ones hold every
   /// shard's mutex in index order (lock_all).

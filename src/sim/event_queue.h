@@ -197,17 +197,24 @@ class EventQueue {
     const __m128d acc = _mm_min_pd(acc0, acc1);
     const double m =
         _mm_cvtsd_f64(_mm_min_sd(acc, _mm_unpackhi_pd(acc, acc)));
-    // Branchless first-equal scan: accumulate the per-pair cmpeq masks into
-    // one bitmask and take its lowest set bit. count_ != 0 here, so
-    // m < kIdle and the kIdle padding can never match.
+    // First-equal scan: accumulate the per-pair cmpeq masks of 64 blocks
+    // into one bitmask word, branch-free within the word, and take the
+    // lowest set bit of the first non-zero word. Up to 512 servers that is
+    // one word. count_ != 0 here, so m < kIdle is some block's minimum (a
+    // word matches) and the kIdle padding can never match.
     const __m128d mv = _mm_set1_pd(m);
+    std::size_t word = 0;
     std::uint64_t mask = 0;
-    for (std::size_t p = 0; p < nb; p += 2)
-      mask |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                  _mm_cmpeq_pd(_mm_loadu_pd(bm + p), mv)))
-              << p;
+    for (;; word += 64) {
+      const std::size_t end = std::min(word + 64, nb);
+      for (std::size_t p = word; p < end; p += 2)
+        mask |= static_cast<std::uint64_t>(_mm_movemask_pd(
+                    _mm_cmpeq_pd(_mm_loadu_pd(bm + p), mv)))
+                << (p - word);
+      if (mask != 0) break;
+    }
     const std::size_t best =
-        static_cast<std::size_t>(__builtin_ctzll(mask));
+        word + static_cast<std::size_t>(__builtin_ctzll(mask));
     const double* base = done_.data() + best * kBlock;
     std::uint64_t bmask = 0;
     for (std::size_t i = 0; i < kBlock; i += 2)

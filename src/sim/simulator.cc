@@ -278,8 +278,8 @@ SimResult run_simulation(const SimConfig& config) {
   // --- control plane -------------------------------------------------------
   // Owns the whole Fig. 2 query-handler pipeline (admission, Eq. 6/7
   // budgets, t_D, tracking, per-class accounting); the simulator is just the
-  // event-driven execution backend around it. Sharded: N replicas behind the
-  // facade, queries routed by arrival index, delta-sync at simulated-time
+  // event-driven execution backend around it. Sharded: N query-handler
+  // shards, queries routed by arrival index, delta-sync at simulated-time
   // interval boundaries (a single shard is the transparent default).
   const ShardingOptions sharding = config.sharding.value_or(ShardingOptions{});
   const PlacementPolicyOptions placement_opts =

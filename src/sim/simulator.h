@@ -131,7 +131,7 @@ struct SimConfig {
   /// Admission control (paper §III.C); disabled when unset.
   std::optional<AdmissionOptions> admission;
 
-  /// Query-handler sharding: N ShardedControlPlane replicas with periodic
+  /// Query-handler sharding: a ShardedControlPlane of N shards with periodic
   /// delta-sync (src/shard). Unset means default ShardingOptions: a single
   /// shard with sync disabled, which is bit-identical to the unsharded
   /// control plane (the parity invariant).

@@ -1,9 +1,10 @@
-// Tests for the shared query control plane (core/control_plane.h): unit
-// coverage of the admission -> budget -> placement -> t_D -> tracking
-// pipeline, plus the cross-backend parity contract — the simulator, the
-// in-process runtime and the loopback remote dispatcher must produce
-// identical per-task budgets (hence identical t_D offsets) and identical
-// admission decisions when driven with the same profile and query stream.
+// Tests for the shared query control plane (shard/sharded_control_plane.h):
+// unit coverage of the admission -> budget -> placement -> t_D -> tracking
+// pipeline on one shard, plus the cross-backend parity contract — the
+// simulator, the in-process runtime and the loopback remote dispatcher must
+// produce identical per-task budgets (hence identical t_D offsets) and
+// identical admission decisions when driven with the same profile and query
+// stream.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -15,11 +16,11 @@
 
 #include "common/rng.h"
 #include "core/cdf_model.h"
-#include "core/control_plane.h"
 #include "dist/standard.h"
 #include "net/dispatcher.h"
 #include "net/task_server.h"
 #include "runtime/service.h"
+#include "shard/sharded_control_plane.h"
 #include "sim/simulator.h"
 #include "workloads/trace.h"
 
@@ -49,12 +50,13 @@ ControlPlaneOptions basic_options(Policy policy) {
 TEST(ControlPlane, Eq6BudgetAndDeadline) {
   // Deterministic 5 ms unloaded tasks: x_p^u(kf) = 5 for every fanout, so
   // T_b = SLO - 5 regardless of the server subset.
-  QueryControlPlane cp(basic_options(Policy::kTfEdf), fixed_models(4, 5.0));
+  ShardedControlPlane cp({}, basic_options(Policy::kTfEdf),
+                         fixed_models(4, 5.0));
   const std::vector<ServerId> two = {0, 1};
-  EXPECT_DOUBLE_EQ(cp.budget(0, two), 15.0);
-  EXPECT_DOUBLE_EQ(cp.budget(1, two), 45.0);
+  EXPECT_DOUBLE_EQ(cp.budget(0, 0, two), 15.0);
+  EXPECT_DOUBLE_EQ(cp.budget(0, 1, two), 45.0);
 
-  const QueryPlan plan = cp.begin_query(100.0, 0, two);
+  const QueryPlan plan = cp.begin_query(0, 100.0, 0, two);
   EXPECT_EQ(plan.cls, 0u);
   EXPECT_EQ(plan.fanout, 2u);
   EXPECT_DOUBLE_EQ(plan.t0, 100.0);
@@ -67,39 +69,42 @@ TEST(ControlPlane, Eq6BudgetAndDeadline) {
 TEST(ControlPlane, OrderingKeyFollowsPolicy) {
   const std::vector<ServerId> two = {0, 1};
   {
-    QueryControlPlane cp(basic_options(Policy::kTEdf), fixed_models(4, 5.0));
+    ShardedControlPlane cp({}, basic_options(Policy::kTEdf),
+                           fixed_models(4, 5.0));
     // T-EDFQ orders by t0 + SLO, fanout-unaware.
-    EXPECT_DOUBLE_EQ(cp.begin_query(100.0, 0, two).order_deadline, 120.0);
+    EXPECT_DOUBLE_EQ(cp.begin_query(0, 100.0, 0, two).order_deadline, 120.0);
     // Request mode supplies the request-level SLO for the ordering key.
     EXPECT_DOUBLE_EQ(
-        cp.begin_query(100.0, 0, two, std::nullopt, 70.0).order_deadline,
+        cp.begin_query(0, 100.0, 0, two, std::nullopt, 70.0).order_deadline,
         170.0);
   }
   for (const Policy policy : {Policy::kFifo, Policy::kPriq}) {
-    QueryControlPlane cp(basic_options(policy), fixed_models(4, 5.0));
-    const QueryPlan plan = cp.begin_query(100.0, 0, two);
+    ShardedControlPlane cp({}, basic_options(policy), fixed_models(4, 5.0));
+    const QueryPlan plan = cp.begin_query(0, 100.0, 0, two);
     EXPECT_DOUBLE_EQ(plan.order_deadline, 100.0);  // arrival order
     EXPECT_DOUBLE_EQ(plan.tail_deadline, 115.0);   // t_D still Eq. 6
   }
 }
 
 TEST(ControlPlane, BudgetOverrideReplacesEq6) {
-  QueryControlPlane cp(basic_options(Policy::kTfEdf), fixed_models(4, 5.0));
+  ShardedControlPlane cp({}, basic_options(Policy::kTfEdf),
+                         fixed_models(4, 5.0));
   const std::vector<ServerId> two = {0, 1};
-  const QueryPlan plan = cp.begin_query(10.0, 0, two, 3.5);
+  const QueryPlan plan = cp.begin_query(0, 10.0, 0, two, 3.5);
   EXPECT_DOUBLE_EQ(plan.budget_ms, 3.5);
   EXPECT_DOUBLE_EQ(plan.tail_deadline, 13.5);
 }
 
 TEST(ControlPlane, TracksQueriesAndPerClassAccounting) {
-  QueryControlPlane cp(basic_options(Policy::kTfEdf), fixed_models(4, 5.0));
+  ShardedControlPlane cp({}, basic_options(Policy::kTfEdf),
+                         fixed_models(4, 5.0));
   const std::vector<ServerId> two = {0, 1};
-  const QueryPlan plan = cp.begin_query(0.0, 1, two);
+  const QueryPlan plan = cp.begin_query(0, 0.0, 1, two);
   EXPECT_EQ(cp.in_flight(), 1u);
   EXPECT_EQ(cp.queries_started(), 1u);
 
-  cp.record_task_dequeue(1.0, 1, false);
-  cp.record_task_dequeue(2.0, 1, true);
+  cp.record_task_dequeue(plan.id, 1.0, 1, false);
+  cp.record_task_dequeue(plan.id, 2.0, 1, true);
   EXPECT_EQ(cp.tasks_recorded(), 2u);
   EXPECT_EQ(cp.tasks_missed(), 1u);
   EXPECT_DOUBLE_EQ(cp.task_miss_ratio(), 0.5);
@@ -117,11 +122,12 @@ TEST(ControlPlane, TracksQueriesAndPerClassAccounting) {
 }
 
 TEST(ControlPlane, AdmissionDisabledAlwaysAdmits) {
-  QueryControlPlane cp(basic_options(Policy::kTfEdf), fixed_models(4, 5.0));
+  ShardedControlPlane cp({}, basic_options(Policy::kTfEdf),
+                         fixed_models(4, 5.0));
   EXPECT_FALSE(cp.admission_enabled());
-  EXPECT_TRUE(cp.should_admit(0.0));
-  EXPECT_TRUE(cp.should_admit(0.0, 0.99));
-  EXPECT_DOUBLE_EQ(cp.admission_miss_ratio(0.0), 0.0);
+  EXPECT_TRUE(cp.should_admit(0, 0.0));
+  EXPECT_TRUE(cp.should_admit(0, 0.0, 0.99));
+  EXPECT_DOUBLE_EQ(cp.admission_miss_ratio(0, 0.0), 0.0);
 }
 
 TEST(ControlPlane, OnOffAdmissionFollowsMissWindow) {
@@ -130,22 +136,22 @@ TEST(ControlPlane, OnOffAdmissionFollowsMissWindow) {
                                        .window_ms = 1e9,
                                        .miss_ratio_threshold = 0.1,
                                        .mode = AdmissionMode::kOnOff};
-  QueryControlPlane cp(std::move(options), fixed_models(4, 5.0));
+  ShardedControlPlane cp({}, std::move(options), fixed_models(4, 5.0));
   EXPECT_TRUE(cp.admission_enabled());
-  EXPECT_TRUE(cp.should_admit(0.0));  // empty window admits
-  cp.count_admitted();
+  EXPECT_TRUE(cp.should_admit(0, 0.0));  // empty window admits
+  cp.count_admitted(0);
 
-  cp.record_task_dequeue(1.0, 0, true);
-  EXPECT_DOUBLE_EQ(cp.admission_miss_ratio(2.0), 1.0);
-  EXPECT_FALSE(cp.should_admit(2.0));
-  cp.count_rejected();
+  cp.record_task_dequeue(0, 1.0, 0, true);
+  EXPECT_DOUBLE_EQ(cp.admission_miss_ratio(0, 2.0), 1.0);
+  EXPECT_FALSE(cp.should_admit(0, 2.0));
+  cp.count_rejected(0);
 
   EXPECT_EQ(cp.queries_admitted(), 1u);
   EXPECT_EQ(cp.queries_rejected(), 1u);
 
   // Enough hits dilute the window below R_th and admission resumes.
-  for (int i = 0; i < 20; ++i) cp.record_task_dequeue(3.0, 0, false);
-  EXPECT_TRUE(cp.should_admit(4.0));
+  for (int i = 0; i < 20; ++i) cp.record_task_dequeue(0, 3.0, 0, false);
+  EXPECT_TRUE(cp.should_admit(0, 4.0));
 }
 
 TEST(ControlPlane, ProportionalAdmissionConsumesTheCoin) {
@@ -155,17 +161,18 @@ TEST(ControlPlane, ProportionalAdmissionConsumesTheCoin) {
                                        .miss_ratio_threshold = 0.1,
                                        .mode = AdmissionMode::kProportional,
                                        .proportional_gain = 1.0};
-  QueryControlPlane cp(std::move(options), fixed_models(4, 5.0));
-  cp.record_task_dequeue(0.0, 0, true);  // ratio 1.0 >= 2 * R_th
+  ShardedControlPlane cp({}, std::move(options), fixed_models(4, 5.0));
+  cp.record_task_dequeue(0, 0.0, 0, true);  // ratio 1.0 >= 2 * R_th
   // Rejection probability is 1: every coin — internal or supplied — rejects.
-  EXPECT_FALSE(cp.should_admit(1.0));
-  EXPECT_FALSE(cp.should_admit(1.0, 0.0));
-  EXPECT_FALSE(cp.should_admit(1.0, 0.999999));
+  EXPECT_FALSE(cp.should_admit(0, 1.0));
+  EXPECT_FALSE(cp.should_admit(0, 1.0, 0.0));
+  EXPECT_FALSE(cp.should_admit(0, 1.0, 0.999999));
 }
 
 TEST(ControlPlane, PlacementPicksLeastLoaded) {
-  QueryControlPlane cp(basic_options(Policy::kTfEdf), fixed_models(4, 5.0));
-  const auto picked = cp.place({{3, 0}, {0, 1}, {1, 2}}, 2);
+  ShardedControlPlane cp({}, basic_options(Policy::kTfEdf),
+                         fixed_models(4, 5.0));
+  const auto picked = cp.place(0, {{3, 0}, {0, 1}, {1, 2}}, 2);
   ASSERT_EQ(picked.size(), 2u);
   EXPECT_EQ(picked[0], 1u);
   EXPECT_EQ(picked[1], 2u);
@@ -173,7 +180,7 @@ TEST(ControlPlane, PlacementPicksLeastLoaded) {
 
 // ----------------------------------------------------- cross-backend parity
 //
-// The three execution backends share one QueryControlPlane implementation;
+// The three execution backends share one ShardedControlPlane implementation;
 // these tests pin the contract that makes that sharing observable: identical
 // inputs produce identical scheduling decisions everywhere.
 //

@@ -14,6 +14,7 @@
 #include <future>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,20 +33,19 @@ using namespace std::chrono_literals;
 
 net::GossipDeltaMsg sample_delta() {
   net::GossipDeltaMsg msg;
-  msg.delta.origin = 0;
-  msg.delta.seq = 17;
-  msg.delta.dequeues_recorded = 40;
-  msg.delta.dequeues_missed = 3;
-  ShardDelta::ServerEntry a;
+  msg.seq = 17;
+  msg.dequeues_recorded = 40;
+  msg.dequeues_missed = 3;
+  net::GossipDeltaMsg::ServerEntry a;
   a.server = 0;
   a.samples_ms = {0.5, 1.25, 30.0};
   a.samples_dropped = 2;
   a.load_estimate = 7;
   a.has_load = true;
-  ShardDelta::ServerEntry b;
+  net::GossipDeltaMsg::ServerEntry b;
   b.server = 4;
   b.has_load = false;
-  msg.delta.servers = {a, b};
+  msg.servers = {a, b};
   return msg;
 }
 
@@ -62,16 +62,41 @@ TEST(GossipWire, DeltaRoundTrip) {
   EXPECT_EQ(decoded, msg);
 }
 
+TEST(GossipWire, EncodingMatchesGoldenBytes) {
+  // sample_delta()'s frame as wire protocol 1 lays it out. Daemons and
+  // dispatchers built from different commits share a fleet, so these bytes
+  // must not move while kWireVersion stays 1.
+  const std::string golden =
+      "4754" "01" "09" "62000000"  // magic, version, kGossipDelta, 98 bytes
+      "00000000"                   // reserved u32, written as 0
+      "1100000000000000"           // seq 17
+      "2800000000000000"           // dequeues_recorded 40
+      "0300000000000000"           // dequeues_missed 3
+      "02000000"                   // two entries
+      // server 0: 2 dropped, load 7, has_load, samples 0.5, 1.25, 30.0
+      "00000000" "0200000000000000" "07000000" "01" "03000000"
+      "000000000000e03f" "000000000000f43f" "0000000000003e40"
+      // server 4: nothing dropped, no load, no samples
+      "04000000" "0000000000000000" "00000000" "00" "00000000";
+  std::string hex;
+  for (const std::uint8_t byte : net::encode(sample_delta())) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(hex, golden);
+}
+
 TEST(GossipWire, EmptyDeltaRoundTrip) {
   net::GossipDeltaMsg msg;
-  msg.delta.seq = 1;
+  msg.seq = 1;
   const auto bytes = net::encode(msg);
   net::FrameBuffer buf;
   buf.append(bytes.data(), bytes.size());
   net::GossipDeltaMsg decoded;
   ASSERT_TRUE(net::decode(*buf.next(), &decoded));
   EXPECT_EQ(decoded, msg);
-  EXPECT_TRUE(decoded.delta.empty());
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(GossipWire, DecodeRejectsTruncatedDelta) {
@@ -94,7 +119,7 @@ TEST(GossipWire, DecodeRejectsImpossibleCounts) {
   // payload-impossible guard before any allocation happens.
   net::Frame frame;
   frame.type = net::MsgType::kGossipDelta;
-  frame.payload = {0, 0, 0, 0,              // origin
+  frame.payload = {0, 0, 0, 0,              // reserved
                    1, 0, 0, 0, 0, 0, 0, 0,  // seq
                    0, 0, 0, 0, 0, 0, 0, 0,  // dequeues_recorded
                    0, 0, 0, 0, 0, 0, 0, 0,  // dequeues_missed
@@ -112,10 +137,10 @@ TEST(GossipWire, DecodeRejectsImpossibleCounts) {
     return net::decode(*buf.next(), &out);
   };
   net::GossipDeltaMsg counts = sample_delta();
-  counts.delta.dequeues_recorded = 4;
-  counts.delta.dequeues_missed = 5;
+  counts.dequeues_recorded = 4;
+  counts.dequeues_missed = 5;
   EXPECT_FALSE(decodes(counts));
-  counts.delta.dequeues_missed = 4;
+  counts.dequeues_missed = 4;
   EXPECT_TRUE(decodes(counts));
 
   // A non-finite sample would poison the receiver's streaming model.
@@ -123,7 +148,7 @@ TEST(GossipWire, DecodeRejectsImpossibleCounts) {
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()}) {
     net::GossipDeltaMsg samples = sample_delta();
-    samples.delta.servers.back().samples_ms.push_back(bad);
+    samples.servers.back().samples_ms.push_back(bad);
     EXPECT_FALSE(decodes(samples)) << bad;
   }
 }
@@ -219,11 +244,11 @@ TEST(GossipDaemon, AnnouncesAndStreamsDeltasOverRawSocket) {
   ASSERT_TRUE(delta_frame.has_value());
   net::GossipDeltaMsg delta;
   ASSERT_TRUE(net::decode(*delta_frame, &delta));
-  EXPECT_GE(delta.delta.seq, 1u);
-  for (const auto& entry : delta.delta.servers)
+  EXPECT_GE(delta.seq, 1u);
+  for (const auto& entry : delta.servers)
     EXPECT_TRUE(entry.samples_ms.empty());
-  EXPECT_EQ(delta.delta.dequeues_recorded, 0u);
-  EXPECT_GE(server.gossip_deltas_sent(), delta.delta.seq);
+  EXPECT_EQ(delta.dequeues_recorded, 0u);
+  EXPECT_GE(server.gossip_deltas_sent(), delta.seq);
 }
 
 TEST(GossipDaemon, ShipsOtherConnectionsCompletionsNotOwn) {
@@ -257,13 +282,13 @@ TEST(GossipDaemon, ShipsOtherConnectionsCompletionsNotOwn) {
     ASSERT_TRUE(frame.has_value());
     net::GossipDeltaMsg msg;
     ASSERT_TRUE(net::decode(*frame, &msg));
-    for (const auto& entry : msg.delta.servers)
+    for (const auto& entry : msg.servers)
       if (!entry.samples_ms.empty()) {
         EXPECT_GE(entry.samples_ms[0], 0.4);
         saw_sample = true;
       }
     if (saw_sample) {
-      EXPECT_EQ(msg.delta.dequeues_recorded, 1u);
+      EXPECT_EQ(msg.dequeues_recorded, 1u);
     }
   }
   EXPECT_TRUE(saw_sample);
@@ -274,7 +299,7 @@ TEST(GossipDaemon, ShipsOtherConnectionsCompletionsNotOwn) {
   ASSERT_TRUE(own.has_value());
   net::GossipDeltaMsg own_msg;
   ASSERT_TRUE(net::decode(*own, &own_msg));
-  for (const auto& entry : own_msg.delta.servers)
+  for (const auto& entry : own_msg.servers)
     EXPECT_TRUE(entry.samples_ms.empty());
 }
 
@@ -446,24 +471,24 @@ TEST(GossipE2E, MalformedDeltaIsSkippedAndDispatcherKeepsServing) {
     // Two u32s: gossip_version 1, origin 0.
     daemon.send_bytes(retired_frame(8, {1, 0, 0, 0, 0, 0, 0, 0}));
     net::GossipDeltaMsg bad_counts;
-    bad_counts.delta.seq = 1;
-    bad_counts.delta.dequeues_recorded = 1;
-    bad_counts.delta.dequeues_missed = 5;
+    bad_counts.seq = 1;
+    bad_counts.dequeues_recorded = 1;
+    bad_counts.dequeues_missed = 5;
     daemon.send_bytes(net::encode(bad_counts));
     net::GossipDeltaMsg nan_sample;
-    nan_sample.delta.seq = 2;
-    nan_sample.delta.servers.emplace_back().samples_ms = {
+    nan_sample.seq = 2;
+    nan_sample.servers.emplace_back().samples_ms = {
         0.5, std::numeric_limits<double>::quiet_NaN()};
     daemon.send_bytes(net::encode(nan_sample));
     net::GossipDeltaMsg valid;
-    valid.delta.seq = 3;
-    valid.delta.dequeues_recorded = 2;
-    valid.delta.servers.emplace_back().samples_ms = {0.5};
+    valid.seq = 3;
+    valid.dequeues_recorded = 2;
+    valid.servers.emplace_back().samples_ms = {0.5};
     daemon.send_bytes(net::encode(valid));
     net::GossipDeltaMsg huge;
-    huge.delta.seq = 4;
-    huge.delta.dequeues_recorded = std::numeric_limits<std::uint64_t>::max();
-    huge.delta.dequeues_missed = huge.delta.dequeues_recorded;
+    huge.seq = 4;
+    huge.dequeues_recorded = std::numeric_limits<std::uint64_t>::max();
+    huge.dequeues_missed = huge.dequeues_recorded;
     daemon.send_bytes(net::encode(huge));
     while (!stop) daemon.read_frame(50);
   });

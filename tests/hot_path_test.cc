@@ -360,8 +360,9 @@ TEST(EventQueue, PopsInExactTimeKeyOrder) {
   constexpr int kRounds = 2000;
   constexpr std::size_t kDeepHeap = 1000;
   // 1 and 7 servers pad out their one 8-server calendar block, 20 part-fill
-  // the last of three, 100 span 13 blocks for the block-minimum rescan.
-  for (const std::size_t servers : {1u, 7u, 20u, 100u}) {
+  // the last of three, 100 span 13 blocks for the block-minimum rescan, and
+  // 513 and 1000 need more than one 64-block word of block-minimum matches.
+  for (const std::size_t servers : {1u, 7u, 20u, 100u, 513u, 1000u}) {
     EventQueue queue(servers, 16);
     std::set<std::pair<TimeMs, std::uint64_t>> reference;
     std::vector<bool> busy(servers, false);

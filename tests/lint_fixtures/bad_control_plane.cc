@@ -1,11 +1,10 @@
 // A backend owning the scheduling components directly. Linted under
 // src/sim/, src/runtime/, src/net/, src/sas/ or src/shard/ every component
-// mention below must fire control-plane-boundary — including the naked
-// QueryControlPlane replica, which only the sharding facade may own.
+// mention below must fire control-plane-boundary, except in the control
+// plane itself (shard/sharded_control_plane.{h,cc}), which owns them.
 // Anywhere else the same bytes are legal (core owns the parts, tests may
 // poke them).
 #include "core/admission.h"
-#include "core/control_plane.h"
 #include "core/deadline.h"
 #include "core/query_tracker.h"
 
@@ -15,7 +14,6 @@ struct HomegrownBackend {
   DeadlineEstimator estimator;
   QueryTracker tracker;
   AdmissionController admission{AdmissionOptions{}};
-  QueryControlPlane replica;
 };
 
 double plan_next(HomegrownBackend& b) {

@@ -1,5 +1,5 @@
 // Bad fixture for hot-path-map: node-based std maps in what lints as a
-// sim/core hot-path file. Four findings: the two includes and the two
+// sim/core/shard hot-path file. Four findings: the two includes and the two
 // member declarations.
 #include <map>
 #include <unordered_map>

@@ -1,7 +1,7 @@
-// The same backend built the sanctioned way: it drives the sharding facade
+// The same backend built the sanctioned way: it drives the control plane
 // (ShardedControlPlane, a single shard here) and never names the underlying
-// components or a shard's private replica, so it lints clean even under the
-// backend directories the boundary rule watches.
+// components, so it lints clean even under the backend directories the
+// boundary rule watches.
 #include "shard/sharded_control_plane.h"
 
 namespace tailguard {

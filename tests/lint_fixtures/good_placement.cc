@@ -1,4 +1,4 @@
-// The same backend done right: placement goes through the facade's
+// The same backend done right: placement goes through the control plane's
 // place() and the strategy arrives as data (PlacementPolicyOptions), so no
 // concrete policy name appears and the file lints clean even under the
 // backend directories the boundary rule watches.

@@ -157,28 +157,28 @@ TEST(LintTest, BadControlPlaneFiresInEveryBackend) {
     const auto diags = lint_fixture("bad_control_plane.cc", path);
     EXPECT_EQ(rules_of(diags), std::set<std::string>{"control-plane-boundary"})
         << path;
-    // One finding per component member — DeadlineEstimator, QueryTracker,
-    // AdmissionController — plus the naked QueryControlPlane replica.
-    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 4) << path;
+    // One finding per component member: DeadlineEstimator, QueryTracker,
+    // AdmissionController.
+    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 3) << path;
   }
 }
 
-TEST(LintTest, ShardPlumbingMayNotTouchReplicas) {
-  // src/shard/ is held to the same standard as the backends: router /
-  // state-sync plumbing must not own the components or reach into a shard's
-  // QueryControlPlane replica...
-  const auto diags =
-      lint_fixture("bad_control_plane.cc", "src/shard/bad_control_plane.cc");
-  EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 4);
+TEST(LintTest, ShardPlumbingMayNotOwnComponents) {
+  // src/shard/ is held to the same standard as the backends: the front door
+  // and any other plumbing must not own the components...
+  for (const std::string path : {"src/shard/bad_control_plane.cc",
+                                 "src/shard/query_front_door.cc"}) {
+    const auto diags = lint_fixture("bad_control_plane.cc", path);
+    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 3) << path;
+  }
 }
 
-TEST(LintTest, ShardingFacadeMayOwnReplicas) {
-  // ...while the facade itself is the one sanctioned QueryControlPlane
-  // owner — only the component mentions fire there.
+TEST(LintTest, ControlPlaneMayOwnComponents) {
+  // ...while the control plane itself owns them, as src/core does.
   for (const std::string path : {"src/shard/sharded_control_plane.cc",
                                  "src/shard/sharded_control_plane.h"}) {
     const auto diags = lint_fixture("bad_control_plane.cc", path);
-    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 3) << path;
+    EXPECT_EQ(count_rule(diags, "control-plane-boundary"), 0) << path;
   }
 }
 
@@ -208,8 +208,8 @@ TEST(LintTest, BadPlacementFiresInEveryBackend) {
 }
 
 TEST(LintTest, PlacementTokensBannedEvenInTheFacade) {
-  // Unlike QueryControlPlane ownership, placement names have no sanctioned
-  // home in src/shard: the facade forwards place(), but policy
+  // Unlike the pipeline's components, placement names have no sanctioned
+  // home in src/shard: the control plane calls the policy, but policy
   // construction belongs to core/placement/policy.cc alone.
   for (const std::string path : {"src/shard/sharded_control_plane.cc",
                                  "src/shard/sharded_control_plane.h"}) {
@@ -314,12 +314,23 @@ TEST(LintTest, BadMapFiresInSimAndCore) {
   }
 }
 
+TEST(LintTest, BadMapFiresInShard) {
+  // The control plane's per-query path lives in src/shard, so the scope
+  // follows it there.
+  for (const std::string path : {"src/shard/sharded_control_plane.cc",
+                                 "src/shard/query_front_door.cc"}) {
+    const auto diags = lint_fixture("bad_map.cc", path);
+    EXPECT_EQ(rules_of(diags), std::set<std::string>{"hot-path-map"}) << path;
+    EXPECT_EQ(count_rule(diags, "hot-path-map"), 4) << path;
+  }
+}
+
 TEST(LintTest, MapsLegalOutsideHotPathDirs) {
   // The runtime / net layers keep their node-based maps: connection tables
   // and in-flight registries are not the 10M tasks/s loop.
   for (const std::string path :
-       {"src/net/bad_map.cc", "src/runtime/bad_map.cc", "src/shard/bad_map.cc",
-        "tests/bad_map.cc", "tools/bad_map.cc"}) {
+       {"src/net/bad_map.cc", "src/runtime/bad_map.cc", "tests/bad_map.cc",
+        "tools/bad_map.cc"}) {
     EXPECT_EQ(count_rule(lint_fixture("bad_map.cc", path), "hot-path-map"), 0)
         << path;
   }

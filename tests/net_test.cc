@@ -209,7 +209,7 @@ TEST(Wire, DecodeRejectsNonFiniteTimes) {
   };
   const auto delta_of = [](std::vector<double> samples_ms) {
     net::GossipDeltaMsg msg;
-    msg.delta.servers.emplace_back().samples_ms = std::move(samples_ms);
+    msg.servers.emplace_back().samples_ms = std::move(samples_ms);
     return msg;
   };
   const double max = std::numeric_limits<double>::max();
@@ -400,7 +400,7 @@ TEST(SendQueue, BlockedFlushResumesWhereItStopped) {
   net::SendQueue q;
   net::GossipDeltaMsg big;
   // ~160 KB frame, far beyond SO_SNDBUF.
-  big.delta.servers.emplace_back().samples_ms.resize(20000, 1.25);
+  big.servers.emplace_back().samples_ms.resize(20000, 1.25);
   net::encode_into(big, q.chunk());
   const std::size_t total = q.bytes_pending();
 
@@ -590,11 +590,11 @@ TEST(TaskServer, BuffersSamplesForModelSyncAcrossReconnect) {
   ASSERT_TRUE(backfill_frame.has_value());
   net::GossipDeltaMsg backfill;
   ASSERT_TRUE(net::decode(*backfill_frame, &backfill));
-  EXPECT_GE(backfill.delta.seq, 1u);
-  EXPECT_EQ(backfill.delta.dequeues_recorded, 0u);
-  EXPECT_EQ(backfill.delta.dequeues_missed, 0u);
-  ASSERT_EQ(backfill.delta.servers.size(), 1u);
-  const ShardDelta::ServerEntry& entry = backfill.delta.servers[0];
+  EXPECT_GE(backfill.seq, 1u);
+  EXPECT_EQ(backfill.dequeues_recorded, 0u);
+  EXPECT_EQ(backfill.dequeues_missed, 0u);
+  ASSERT_EQ(backfill.servers.size(), 1u);
+  const net::GossipDeltaMsg::ServerEntry& entry = backfill.servers[0];
   EXPECT_FALSE(entry.has_load);
   ASSERT_EQ(entry.samples_ms.size(), 1u);
   EXPECT_GE(entry.samples_ms[0], 25.0);

@@ -27,12 +27,12 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "core/control_plane.h"
 #include "core/placement/policy.h"
 #include "dist/standard.h"
 #include "net/dispatcher.h"
 #include "net/task_server.h"
 #include "runtime/service.h"
+#include "shard/sharded_control_plane.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
@@ -155,18 +155,19 @@ TEST(PlacementPolicy, LeastLoadedBitIdenticalToRawPicker) {
 }
 
 TEST(PlacementPolicy, ControlPlaneDefaultPlaceMatchesRawPicker) {
-  // The facade's place() under the default policy is the pre-refactor
+  // The control plane's place() under the default policy is the pre-refactor
   // place_least_loaded, draw for draw.
   const std::uint64_t seed = 99;
-  QueryControlPlane cp(plane_options(PlacementPolicyKind::kLeastLoaded, seed),
-                       fixed_models(4, 5.0));
+  ShardedControlPlane cp({},
+                         plane_options(PlacementPolicyKind::kLeastLoaded, seed),
+                         fixed_models(4, 5.0));
   EXPECT_EQ(cp.placement_kind(), PlacementPolicyKind::kLeastLoaded);
 
   Rng reference(seed);
   Rng fill(11);
   for (int round = 0; round < 5; ++round) {
     const auto candidates = random_candidates(4, fill);
-    EXPECT_EQ(cp.place(candidates, 2),
+    EXPECT_EQ(cp.place(0, candidates, 2),
               pick_least_loaded(candidates, 2, reference))
         << "round " << round;
   }

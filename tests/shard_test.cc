@@ -100,7 +100,7 @@ TEST(ShardSeeds, SubstreamsAreDistinctAndDeterministic) {
   EXPECT_EQ(seeds.size(), 16u);
 }
 
-// ------------------------------------------------------------- facade unit
+// ------------------------------------------------------ control plane unit
 
 TEST(ShardedControlPlane, StridedQueryIdsRecoverOwningShard) {
   ShardedControlPlane cp(ShardingOptions{.num_shards = 2},
@@ -136,6 +136,76 @@ TEST(ShardedControlPlane, ShardsBudgetIndependentlyFromClonedModels) {
   const std::vector<ServerId> servers = {0, 2};
   EXPECT_DOUBLE_EQ(cp.budget(0, 0, servers), 15.0);
   EXPECT_DOUBLE_EQ(cp.budget(1, 0, servers), 15.0);
+}
+
+TEST(ShardedControlPlane, AggregatesCountEveryShardOnce) {
+  // Shard s offers s + 3 queries of alternating class. Each is admitted
+  // once, rejected twice, placed, begun, and dequeued once on time and once
+  // late; the first takes s * s more on-time dequeues, and the first two
+  // complete. Every shard adds to every tally and no shard's miss ratio is
+  // the total's, so a merged getter that reads one shard, or skips one,
+  // fails.
+  ControlPlaneOptions options = one_class_options();
+  options.classes.push_back({.slo_ms = 40.0, .percentile = 99.0});
+  options.admission = AdmissionOptions{};
+  ShardedControlPlane cp(ShardingOptions{.num_shards = 3}, options,
+                         fixed_models(4, 5.0));
+  const std::vector<PlacementCandidate> candidates = {
+      {2, 0}, {0, 1}, {1, 2}, {3, 3}};
+  std::vector<ServerId> picks;
+  std::uint64_t admitted = 0, rejected = 0, started = 0, completed = 0;
+  std::uint64_t recorded = 0, missed = 0, decisions = 0, considered = 0;
+  ClassAccounting per_class[2];
+  for (std::uint32_t shard = 0; shard < 3; ++shard) {
+    for (std::uint32_t q = 0; q < shard + 3; ++q) {
+      cp.count_admitted(shard);
+      cp.count_rejected(shard);
+      cp.count_rejected(shard);
+      cp.place(shard, candidates, 2, picks);
+      const ClassId cls = q % 2;
+      const QueryPlan plan = cp.begin_query(shard, 0.0, cls, picks);
+      ASSERT_EQ(cp.shard_of(plan.id), shard);
+      const std::uint32_t on_time = q == 0 ? 1 + shard * shard : 1;
+      for (std::uint32_t i = 0; i < on_time; ++i)
+        cp.record_task_dequeue(plan.id, 1.0, cls, /*missed=*/false);
+      cp.record_task_dequeue(plan.id, 2.0, cls, /*missed=*/true);
+      ++admitted;
+      rejected += 2;
+      ++started;
+      ++decisions;
+      considered += candidates.size();  // least_loaded reads every candidate
+      recorded += on_time + 1;
+      ++missed;
+      per_class[cls].tasks_recorded += on_time + 1;
+      ++per_class[cls].tasks_missed;
+      if (q < 2) {
+        EXPECT_FALSE(cp.complete_task(plan.id));
+        EXPECT_TRUE(cp.complete_task(plan.id));
+        ++completed;
+        ++per_class[cls].queries_completed;
+      }
+    }
+  }
+  EXPECT_EQ(cp.queries_admitted(), admitted);
+  EXPECT_EQ(cp.queries_rejected(), rejected);
+  EXPECT_EQ(cp.queries_started(), started);
+  EXPECT_EQ(cp.queries_completed(), completed);
+  EXPECT_EQ(cp.in_flight(), started - completed);
+  EXPECT_EQ(cp.tasks_recorded(), recorded);
+  EXPECT_EQ(cp.tasks_missed(), missed);
+  EXPECT_DOUBLE_EQ(cp.task_miss_ratio(), static_cast<double>(missed) /
+                                             static_cast<double>(recorded));
+  for (ClassId cls = 0; cls < 2; ++cls) {
+    SCOPED_TRACE(cls);
+    EXPECT_EQ(cp.class_accounting(cls).queries_completed,
+              per_class[cls].queries_completed);
+    EXPECT_EQ(cp.class_accounting(cls).tasks_recorded,
+              per_class[cls].tasks_recorded);
+    EXPECT_EQ(cp.class_accounting(cls).tasks_missed,
+              per_class[cls].tasks_missed);
+  }
+  EXPECT_EQ(cp.placement_stats().decisions, decisions);
+  EXPECT_EQ(cp.placement_stats().candidates_considered, considered);
 }
 
 // -------------------------------------------------------------- delta sync

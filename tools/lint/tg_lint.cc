@@ -471,12 +471,12 @@ void check_control_plane_boundary(const FileCtx& ctx) {
       !ctx.in_dir("src/net/") && !ctx.in_dir("src/sas/") &&
       !ctx.in_dir("src/shard/"))
     return;
-  // The sharding facade is the single sanctioned owner of QueryControlPlane
-  // replicas; everything else — backends and the rest of src/shard — talks
-  // to ShardedControlPlane, and cross-shard state flows through its sync
-  // round only.
-  const bool is_facade = ctx.path == "src/shard/sharded_control_plane.h" ||
-                         ctx.path == "src/shard/sharded_control_plane.cc";
+  // The control plane owns the pipeline's parts, as src/core does;
+  // everything else — backends and the rest of src/shard — talks to
+  // ShardedControlPlane, and cross-shard state flows through its sync round
+  // only.
+  const bool is_plane = ctx.path == "src/shard/sharded_control_plane.h" ||
+                        ctx.path == "src/shard/sharded_control_plane.cc";
   static constexpr std::array<std::string_view, 3> kComponents = {
       "DeadlineEstimator", "QueryTracker", "AdmissionController"};
   // The live backends share one query lifecycle through
@@ -489,29 +489,18 @@ void check_control_plane_boundary(const FileCtx& ctx) {
     const std::string_view line = ctx.code_lines[i];
     bool fired = false;
     for (const auto token : kComponents) {
-      if (find_word(line, token) != std::string_view::npos) {
+      if (!is_plane && find_word(line, token) != std::string_view::npos) {
         ctx.report(static_cast<int>(i) + 1, "control-plane-boundary",
                    "'" + std::string(token) +
                        "' referenced in an execution backend; the per-query "
                        "pipeline (admission, Eq. 6/7 budgets, placement, t_D, "
-                       "tracking, accounting) lives in core/control_plane.h — "
-                       "drive a ShardedControlPlane instead of owning its "
-                       "parts, so scheduling changes land once, not per "
-                       "backend");
+                       "tracking, accounting) lives in "
+                       "shard/sharded_control_plane.h — drive a "
+                       "ShardedControlPlane instead of owning its parts, so "
+                       "scheduling changes land once, not per backend");
         fired = true;
         break;
       }
-    }
-    if (!fired && !is_facade &&
-        find_word(line, "QueryControlPlane") != std::string_view::npos) {
-      ctx.report(static_cast<int>(i) + 1, "control-plane-boundary",
-                 "'QueryControlPlane' referenced outside the sharding facade; "
-                 "a shard's replica is private to "
-                 "shard/sharded_control_plane.{h,cc} — backends drive a "
-                 "ShardedControlPlane, and cross-shard state moves only "
-                 "in its sync round, never by reaching into another "
-                 "shard's plane");
-      fired = true;
     }
     if (fired) continue;
     if (live) {
@@ -531,10 +520,10 @@ void check_control_plane_boundary(const FileCtx& ctx) {
       }
       if (fired) continue;
     }
-    // Placement is pluggable behind QueryControlPlane::place(); a backend
+    // Placement is pluggable behind ShardedControlPlane::place(); a backend
     // that names a concrete policy class has hard-wired one strategy and
-    // broken PlacementPolicyOptions selection. The facade is NOT exempt: it
-    // forwards place(), but policy construction belongs to
+    // broken PlacementPolicyOptions selection. The control plane is NOT
+    // exempt: it calls the policy, but policy construction belongs to
     // core/placement/policy.cc alone.
     static constexpr std::array<std::string_view, 2> kPlacementTokens = {
         "LeastLoadedPolicy", "PowerOfDPolicy"};
@@ -543,7 +532,7 @@ void check_control_plane_boundary(const FileCtx& ctx) {
         ctx.report(static_cast<int>(i) + 1, "control-plane-boundary",
                    "'" + std::string(token) +
                        "' referenced in an execution backend; placement is a "
-                       "pluggable policy behind QueryControlPlane::place() "
+                       "pluggable policy behind ShardedControlPlane::place() "
                        "(core/placement/policy.h), selected via "
                        "PlacementPolicyOptions — naming a concrete policy "
                        "class hard-wires one strategy into this backend");
@@ -554,11 +543,13 @@ void check_control_plane_boundary(const FileCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// hot-path-map — node-based std maps stay out of the sim/core hot path
+// hot-path-map — node-based std maps stay out of the sim/core/shard hot path
 // ---------------------------------------------------------------------------
 
 void check_hot_path_map(const FileCtx& ctx) {
-  if (!ctx.in_dir("src/sim/") && !ctx.in_dir("src/core/")) return;
+  if (!ctx.in_dir("src/sim/") && !ctx.in_dir("src/core/") &&
+      !ctx.in_dir("src/shard/"))
+    return;
   for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
     const std::string_view line = ctx.code_lines[i];
     std::string offender;
@@ -583,7 +574,7 @@ void check_hot_path_map(const FileCtx& ctx) {
     if (!offender.empty()) {
       ctx.report(static_cast<int>(i) + 1, "hot-path-map",
                  "'" + offender +
-                     "' in a sim/core hot-path file; node-based maps "
+                     "' in a sim/core/shard hot-path file; node-based maps "
                      "allocate and pointer-chase per entry, which is what "
                      "the 10M tasks/s loop cannot afford — use SlabMap / "
                      "SlabHashCache (common/slab_map.h), or mark a genuinely "
@@ -890,16 +881,15 @@ std::string rule_summary() {
       "wire.cc (sockaddr exempt)\n"
       "control-plane-boundary  src/sim, src/runtime, src/net, src/sas and "
       "src/shard must drive shard/sharded_control_plane.h, not "
-      "DeadlineEstimator/QueryTracker/AdmissionController directly; "
-      "QueryControlPlane replicas are private to the sharding facade "
-      "(cross-shard state flows through its sync round only); "
+      "DeadlineEstimator/QueryTracker/AdmissionController directly (only "
+      "shard/sharded_control_plane.{h,cc} own them there); "
       "concrete placement policy classes (LeastLoadedPolicy/PowerOfDPolicy) "
-      "are off-limits everywhere in those dirs, facade included — placement "
-      "is selected via PlacementPolicyOptions; src/runtime and src/net run "
-      "the query lifecycle through shard/query_front_door.h, never "
-      "begin_query/complete_task/record_task_dequeue\n"
-      "hot-path-map        no std::unordered_map / std::map in src/sim or "
-      "src/core; the hot path uses SlabMap / SlabHashCache "
+      "are off-limits everywhere in those dirs, the control plane included "
+      "— placement is selected via PlacementPolicyOptions; src/runtime and "
+      "src/net run the query lifecycle through shard/query_front_door.h, "
+      "never begin_query/complete_task/record_task_dequeue\n"
+      "hot-path-map        no std::unordered_map / std::map in src/sim, "
+      "src/core or src/shard; the hot path uses SlabMap / SlabHashCache "
       "(common/slab_map.h) — node-based maps allocate per entry\n"
       "atomic-order        atomic .load()/.store()/.exchange()/.fetch_*()/"
       "compare_exchange/.test_and_set() in src/ and tools/ must pass an "

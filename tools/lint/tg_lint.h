@@ -27,10 +27,11 @@
 //                       little-endian helpers: no reinterpret_cast struct
 //                       punning, no memcpy of raw integers (sockaddr casts
 //                       for the POSIX API are exempt).
-//   hot-path-map        No std::unordered_map / std::map in src/sim or
-//                       src/core. The event loop and per-query control-plane
-//                       path budget tens of nanoseconds per operation;
-//                       node-based maps allocate and pointer-chase per entry.
+//   hot-path-map        No std::unordered_map / std::map in src/sim,
+//                       src/core or src/shard. The event loop and per-query
+//                       control-plane path budget tens of nanoseconds per
+//                       operation; node-based maps allocate and
+//                       pointer-chase per entry.
 //                       Dense-id state uses SlabMap, memo caches use
 //                       SlabHashCache (common/slab_map.h); genuinely cold
 //                       uses carry an explicit allow(hot-path-map).
