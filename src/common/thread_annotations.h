@@ -77,7 +77,7 @@
 
 /// Opts a function out of the analysis entirely. Every use must carry a
 /// comment explaining why the protocol cannot be expressed (e.g. locks
-/// acquired through a dynamic container, as in TailGuardService::lock_all).
+/// picked at run time from a container). Nothing in the tree needs it.
 #define TG_NO_THREAD_SAFETY_ANALYSIS TG_TSA_ATTR(no_thread_safety_analysis)
 
 namespace tailguard {

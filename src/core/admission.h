@@ -76,13 +76,6 @@ class AdmissionController {
 
   const AdmissionOptions& options() const { return options_; }
 
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t rejected() const { return rejected_; }
-
-  /// Outcome bookkeeping, driven by the query handler.
-  void count_admitted() { ++admitted_; }
-  void count_rejected() { ++rejected_; }
-
  private:
   /// Window entries carry a weight so remote delta batches merge as a single
   /// entry instead of being replayed task-by-task. Local dequeues use
@@ -115,8 +108,6 @@ class AdmissionController {
   std::size_t window_size_ = 0;
   std::uint64_t tasks_in_window_ = 0;
   std::uint64_t misses_in_window_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace tailguard

@@ -20,8 +20,8 @@
 namespace tailguard {
 
 /// Thread safety: a live model is read and updated under its owner's lock
-/// (TailGuardService's per-shard Shard::mu, RemoteDispatcher's mu_) or by
-/// one thread (a simulation run). That covers const calls too:
+/// (TailGuardService's and RemoteDispatcher's mu_) or by one thread (a
+/// simulation run). That covers const calls too:
 /// StreamingCdfModel::cdf() and quantile() fill lookup caches, so two
 /// threads may not call them on one live model at once. A clone() comes back
 /// with every cache filled, so any number of threads may read a clone while

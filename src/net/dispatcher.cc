@@ -9,8 +9,7 @@ namespace tailguard::net {
 RemoteDispatcher::RemoteDispatcher(DispatcherOptions options)
     : options_(std::move(options)),
       epoch_(std::chrono::steady_clock::now()),
-      // One shard: the dispatcher is one handler.
-      door_(ShardingOptions{}, options_, options_.servers.size()) {
+      door_(options_, options_.servers.size()) {
   TG_CHECK_MSG(!options_.servers.empty(), "need at least one task server");
   TG_CHECK_MSG(!options_.classes.empty(), "need at least one service class");
   TG_CHECK_MSG(options_.task_timeout_ms > 0.0, "task timeout must be positive");
@@ -77,7 +76,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
     MutexLock lock(mu_);
     const TimeMs t0 = now_ms();
 
-    std::vector<PlacementCandidate>& view = door_.candidate_view(/*shard=*/0);
+    std::vector<PlacementCandidate>& view = door_.candidate_view();
     for (std::size_t s = 0; s < servers_.size(); ++s)
       if (servers_[s].state == ConnState::kAlive)
         // Load = our own in-flight tasks plus the daemon's last gossiped
@@ -92,7 +91,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
     // rest go to the policy over the alive set. A rejected query never
     // reaches a daemon.
     const std::span<const ServerId> placed =
-        door_.admit_and_place(/*shard=*/0, t0, tasks, &RemoteTaskSpec::server);
+        door_.admit_and_place(t0, tasks, &RemoteTaskSpec::server);
     if (placed.empty())
       return QueryFrontDoor::ready(
           {.cls = cls, .fanout = fanout, .admitted = false});
@@ -109,7 +108,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
     // Budget (Eq. 6 over the intended server set — dead explicit targets
     // included, their frozen models still describe the intent — or the
     // caller's Eq. 7 override), t_D and the ordering key.
-    begun = door_.begin(/*shard=*/0, t0, cls, placed, budget_override);
+    begun = door_.begin(t0, cls, placed, budget_override);
     const QueryId qid = begun.plan.id;
 
     // Deadlines are t0 plus a constant and t0 only grows under mu_, so
@@ -489,9 +488,8 @@ void RemoteDispatcher::net_loop() {
         if (conn == nullptr) continue;
         if (conn->state == ConnState::kConnecting) {
           if (connect_finished(conn->fd.get())) {
-            HelloMsg hello;
-            hello.peer_name = options_.name;
-            encode_into(hello, conn->out.chunk());
+            encode_into(HelloMsg{.peer_name = "tailguard-dispatcher"},
+                        conn->out.chunk());
             conn->state = ConnState::kHandshaking;
           } else {
             disconnect(s, now, &finished);

@@ -78,7 +78,6 @@ struct DispatcherOptions {
   /// Called once per admitted query with its servers (see
   /// QueryFrontDoor::Observer); keep it cheap. For the parity tests.
   QueryFrontDoor::Observer placement_observer;
-  std::string name = "tailguard-dispatcher";
 };
 
 class RemoteDispatcher {

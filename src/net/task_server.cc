@@ -152,14 +152,16 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
       SubmitTaskMsg msg;
       if (!decode(frame, &msg)) return;
       const TimeMs now = now_ms();
+      // Dispatchers number their tasks independently: the daemon's own ids
+      // key the executors, and TaskDone carries the dispatcher's back.
       RuntimeTask task;
-      task.id = msg.task;
+      task.id = next_task_id_++;
       task.query = msg.query;
       task.cls = msg.cls >= options_.num_classes
                      ? static_cast<ClassId>(options_.num_classes - 1)
                      : msg.cls;
       task.simulated_service_ms = msg.simulated_service_ms;
-      task_origin_[msg.task] = {conn_id, now};
+      task_origin_[task.id] = {conn_id, msg.task, now};
       submissions_.push_back(
           {std::move(task), now, now + msg.relative_deadline_ms});
       break;
@@ -183,7 +185,6 @@ void TaskServer::on_task_complete(ServerId executor,
                                   TimeMs complete_ms) {
   const bool missed = dequeue_ms > task.order_deadline;
   TaskDoneMsg msg;
-  msg.task = task.id;
   msg.query = task.query;
   msg.service_ms = complete_ms - dequeue_ms;
   msg.missed_deadline = missed;
@@ -197,6 +198,7 @@ void TaskServer::on_task_complete(ServerId executor,
     origin = origin_it->second;
     task_origin_.erase(origin_it);
   }
+  msg.task = origin.task;
   msg.queue_ms = dequeue_ms - origin.enqueue_ms;
   const auto conn_it = conns_.find(origin.conn);
   if (!stopped_ && conn_it != conns_.end() && conn_it->second.hello_done &&

@@ -103,6 +103,8 @@ class TaskServer {
   /// Where a task came from, for routing its TaskDone.
   struct TaskOrigin {
     std::uint64_t conn = 0;
+    /// The submitting dispatcher's id for the task.
+    TaskId task = 0;
     TimeMs enqueue_ms = 0.0;
   };
 
@@ -161,6 +163,8 @@ class TaskServer {
   /// fd -> connection id.
   std::unordered_map<int, std::uint64_t> fd_conn_ TG_GUARDED_BY(mu_);
   std::uint64_t next_conn_id_ TG_GUARDED_BY(mu_) = 1;
+  /// Daemon-wide task ids, unique across connections; task_origin_'s keys.
+  TaskId next_task_id_ TG_GUARDED_BY(mu_) = 0;
   std::unordered_map<TaskId, TaskOrigin> task_origin_ TG_GUARDED_BY(mu_);
   std::vector<Submission> submissions_ TG_GUARDED_BY(mu_);
   /// Samples of completions whose owner connection was gone: the next

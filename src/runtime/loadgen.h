@@ -3,7 +3,7 @@
 // Drives a TailGuardService with Poisson (or Pareto) arrivals at a target
 // wall-clock rate — the runtime analogue of the simulator's arrival process
 // — and reports per-class latency percentiles, the achieved rate and the
-// deadline-miss ratio. Used by the runtime testbed bench and the examples.
+// deadline-miss ratio. Used by the runtime testbed bench.
 #pragma once
 
 #include <functional>

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,15 +43,6 @@ struct ServiceOptions {
   /// Admission control; disabled when unset.
   std::optional<AdmissionOptions> admission;
   std::uint64_t seed = 42;
-  /// Query-handler sharding (src/shard): submissions are routed across this
-  /// many control-plane shards, each behind its own mutex, with periodic
-  /// delta-sync of model and admission state. 1 (the default) preserves the
-  /// single-handler behaviour exactly.
-  std::uint32_t num_handler_shards = 1;
-  /// Delta-sync period (service-clock ms); <= 0 disables sync.
-  TimeMs shard_sync_interval_ms = 0.0;
-  /// Round-robin keeps concurrent submitters evenly spread by default.
-  RouterKind shard_router = RouterKind::kRoundRobin;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
   PlacementPolicyOptions placement;
   /// Called once per admitted query with its workers (see
@@ -103,47 +93,33 @@ class TailGuardService {
   std::size_t num_workers() const { return workers_.size(); }
 
   /// Placement observability: which policy ran and its per-decision
-  /// counters, summed across handler shards.
-  PlacementPolicyKind placement_kind() const;
+  /// counters.
+  PlacementPolicyKind placement_kind() const {
+    return options_.placement.kind;
+  }
   PlacementStats placement_stats() const;
 
   /// Snapshot of a worker's CDF model (e.g. to inspect learned quantiles):
-  /// a deep copy taken under the shard locks, safe to read while queries are
-  /// still in flight. (Returning a reference here used to let the model
-  /// escape its lock while worker threads kept updating it — the annotation
-  /// pass caught that.)
+  /// a deep copy taken under mu_, safe to read while queries are still in
+  /// flight. (Returning a reference here used to let the model escape its
+  /// lock while worker threads kept updating it — the annotation pass caught
+  /// that.)
   std::shared_ptr<const CdfModel> worker_model(ServerId worker) const;
 
  private:
   void on_task_complete(ServerId worker, const RuntimeTask& task,
-                        TimeMs dequeue_ms, TimeMs complete_ms);
-  /// N-ary ordered acquisition through a dynamic container: inherently
-  /// outside TSA's static capability model, like std::lock. unique_lock
-  /// works on the annotated Mutex (a Lockable); the std header is simply
-  /// not analyzed.
-  std::vector<std::unique_lock<Mutex>> lock_all() const;
-  /// Runs a delta-sync round when the interval boundary has passed; cheap
-  /// atomic check on the fast path, all-shard lock only when a round is due.
-  void maybe_sync(TimeMs now);
+                        TimeMs dequeue_ms, TimeMs complete_ms)
+      TG_EXCLUDES(mu_);
 
   // tg-lint: allow(guarded-member): immutable after construction.
   ServiceOptions options_;
   // tg-lint: allow(guarded-member): immutable after construction.
   std::chrono::steady_clock::time_point epoch_;
 
-  /// The query handler over N control-plane shards with delta-sync. Calls
-  /// on shard i hold shard_mu_[i] (all its mutable state is per-shard; i is
-  /// a runtime value, so TSA cannot express it); cross-shard ones hold every
-  /// shard's mutex in index order (lock_all).
-  // tg-lint: allow(guarded-member): guarded per shard, as documented above.
-  QueryFrontDoor door_;
-  std::vector<std::unique_ptr<Mutex>> shard_mu_;
+  mutable Mutex mu_;
+  /// The query handler, one control-plane shard, as in the dispatcher.
+  QueryFrontDoor door_ TG_GUARDED_BY(mu_);
   std::atomic<TaskId> next_task_id_{0};
-  /// Routing key source: one monotone counter across all submitters.
-  std::atomic<std::uint64_t> submit_seq_{0};
-  /// Racy mirror of the plane's next_sync_at(), so non-due completions skip
-  /// the all-shard lock.
-  std::atomic<double> next_sync_hint_;
 
   // Workers last: their threads must stop before the state above dies, and
   // member destruction order (reverse declaration) guarantees it.

@@ -2,14 +2,16 @@
 // once for both live backends (runtime/service.h, net/dispatcher.h), which
 // keep only their transport. admit_and_place validates explicit targets,
 // admits (§III.C), places and tells the observer; begin plans (Eq. 6 or an
-// Eq. 7 override) and parks the query's promise in a per-shard SlabMap on
-// the shard's query-id progression; finish_task accounts each task and hands
-// back the promise with the last one. Scratch is reused, so a warm front door
-// allocates only each query's promise. The simulator, which has no futures
-// and draws its own admission coin, drives ShardedControlPlane directly.
+// Eq. 7 override) and parks the query's promise in a SlabMap on the
+// query-id progression; finish_task accounts each task and hands back the
+// promise with the last one. Scratch is reused, so a warm front door
+// allocates only each query's promise. It is one handler: its plane has one
+// shard and no sync. The simulator, which has no futures, draws its own
+// admission coin and runs N synced shards, drives ShardedControlPlane
+// directly.
 //
-// Thread safety: none, like ShardedControlPlane. Callers hold shard i's lock
-// for every call on shard i (query-routed calls go to shard_of(query)).
+// Thread safety: none, like ShardedControlPlane. Each backend guards its
+// front door with its one lock (TG_GUARDED_BY) and holds it for every call.
 #pragma once
 
 #include <cstddef>
@@ -59,51 +61,49 @@ class QueryFrontDoor {
   /// DispatcherOptions: policy, classes, admission, placement, seed,
   /// model_options, placement_observer), one streaming model per server.
   template <typename BackendOptions>
-  QueryFrontDoor(ShardingOptions sharding, const BackendOptions& options,
-                 std::size_t num_servers)
-      : QueryFrontDoor(sharding,
-                       {.policy = options.policy,
+  QueryFrontDoor(const BackendOptions& options, std::size_t num_servers)
+      : QueryFrontDoor({.policy = options.policy,
                         .classes = options.classes,
                         .admission = options.admission,
                         .placement = options.placement,
                         .seed = options.seed},
                        streaming_models(options.model_options, num_servers),
                        options.placement_observer) {}
-  QueryFrontDoor(ShardingOptions sharding, ControlPlaneOptions base,
+  QueryFrontDoor(ControlPlaneOptions base,
                  std::vector<std::shared_ptr<CdfModel>> server_models,
                  Observer observer);
 
   ShardedControlPlane& control() { return control_; }
   const ShardedControlPlane& control() const { return control_; }
 
-  /// `shard`'s candidate view, cleared, for the caller to fill with
-  /// (load, server) pairs before each admit_and_place.
-  std::vector<PlacementCandidate>& candidate_view(std::uint32_t shard) {
-    lanes_[shard].view.clear();
-    return lanes_[shard].view;
+  /// The candidate view, cleared, for the caller to fill with (load,
+  /// server) pairs before each admit_and_place.
+  std::vector<PlacementCandidate>& candidate_view() {
+    view_.clear();
+    return view_;
   }
 
   /// Checks that the query has tasks and each explicit target
-  /// `task.*target` exists, then decides admission. A rejected query is neither placed nor observed and
-  /// gets an empty span; an admitted one its servers in task order, policy
-  /// picks over candidate_view(shard) for the untargeted tasks. The span is
-  /// scratch, valid until the shard's next admit_and_place.
+  /// `task.*target` exists, then decides admission. A rejected query is
+  /// neither placed nor observed and gets an empty span; an admitted one its
+  /// servers in task order, policy picks over candidate_view() for the
+  /// untargeted tasks. The span is scratch, valid until the next
+  /// admit_and_place.
   template <typename Task>
   std::span<const ServerId> admit_and_place(
-      std::uint32_t shard, TimeMs now, const std::vector<Task>& tasks,
+      TimeMs now, const std::vector<Task>& tasks,
       std::optional<ServerId> Task::*target) {
     TG_CHECK_MSG(!tasks.empty(), "query must contain at least one task");
-    std::vector<ServerId>& placement = lanes_[shard].placement;
-    placement.clear();
+    placement_.clear();
     std::size_t untargeted = 0;
     for (const Task& task : tasks) {
       const std::optional<ServerId>& server = task.*target;
       TG_CHECK_MSG(!server || *server < num_servers_,
                    "unknown server " << *server);
-      placement.push_back(server.value_or(kNoServer));
+      placement_.push_back(server.value_or(kNoServer));
       untargeted += server ? 0 : 1;
     }
-    return admit_then_place(shard, now, untargeted);
+    return admit_then_place(now, untargeted);
   }
 
   struct Begun {
@@ -112,8 +112,7 @@ class QueryFrontDoor {
   };
   /// Registers an admitted query on `servers`: its plan (Eq. 6 over them,
   /// or `budget_override`) and the future of its result.
-  Begun begin(std::uint32_t shard, TimeMs t0, ClassId cls,
-              std::span<const ServerId> servers,
+  Begun begin(TimeMs t0, ClassId cls, std::span<const ServerId> servers,
               std::optional<TimeMs> budget_override);
 
   /// One task of `query` ended: failed (no result), or dequeued at
@@ -132,24 +131,20 @@ class QueryFrontDoor {
     std::optional<std::promise<QueryResult>> promise;
     QueryResult result;
   };
-  /// One shard's pending queries and scratch; shards run under different
-  /// locks, so each lane gets its own cache lines.
-  struct alignas(64) Lane {
-    SlabMap<Pending> pending;
-    std::vector<PlacementCandidate> view;
-    std::vector<ServerId> placement;
-    std::vector<ServerId> picks;
-  };
 
   static std::vector<std::shared_ptr<CdfModel>> streaming_models(
       const StreamingCdfModel::Options& options, std::size_t num_servers);
-  std::span<const ServerId> admit_then_place(std::uint32_t shard, TimeMs now,
+  std::span<const ServerId> admit_then_place(TimeMs now,
                                             std::size_t untargeted);
 
   ShardedControlPlane control_;
   Observer observer_;
   std::size_t num_servers_;
-  std::vector<Lane> lanes_;
+  /// Pending queries by id, on the plane's dense 0, 1, 2, ... progression.
+  SlabMap<Pending> pending_;
+  std::vector<PlacementCandidate> view_;
+  std::vector<ServerId> placement_;
+  std::vector<ServerId> picks_;
 };
 
 }  // namespace tailguard

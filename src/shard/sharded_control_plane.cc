@@ -77,18 +77,6 @@ bool ShardedControlPlane::should_admit(std::uint32_t shard, TimeMs now,
   return !s.admission || s.admission->should_admit(now, coin);
 }
 
-void ShardedControlPlane::count_admitted(std::uint32_t shard) {
-  Shard& s = shards_[shard];
-  ++s.queries_admitted;
-  if (s.admission) s.admission->count_admitted();
-}
-
-void ShardedControlPlane::count_rejected(std::uint32_t shard) {
-  Shard& s = shards_[shard];
-  ++s.queries_rejected;
-  if (s.admission) s.admission->count_rejected();
-}
-
 double ShardedControlPlane::admission_miss_ratio(std::uint32_t shard,
                                                  TimeMs now) {
   Shard& s = shards_[shard];

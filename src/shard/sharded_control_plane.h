@@ -33,10 +33,8 @@
 // tg_lint guarded-member rule and the TSA annotation layer
 // (common/thread_annotations.h) have nothing to check in it. Single-threaded
 // callers (sim) just call in. The live backends reach it through
-// QueryFrontDoor: the runtime holds shard i's mutex for shard i's calls —
-// sound because every mutable member they touch is per-shard — and every
-// shard's (in index order) around maybe_sync()/aggregated accessors; the
-// dispatcher runs one shard under its mu_.
+// QueryFrontDoor, one shard with sync off, held as a TG_GUARDED_BY(mu_)
+// member and called under that one lock. Only the simulator runs N shards.
 #pragma once
 
 #include <cstdint>
@@ -186,8 +184,12 @@ class ShardedControlPlane {
   bool should_admit(std::uint32_t shard, TimeMs now, double coin);
 
   /// Outcome bookkeeping, called once per offered query.
-  void count_admitted(std::uint32_t shard);
-  void count_rejected(std::uint32_t shard);
+  void count_admitted(std::uint32_t shard) {
+    ++shards_[shard].queries_admitted;
+  }
+  void count_rejected(std::uint32_t shard) {
+    ++shards_[shard].queries_rejected;
+  }
 
   /// `shard`'s admission-window miss ratio (0 when admission is disabled).
   double admission_miss_ratio(std::uint32_t shard, TimeMs now);

@@ -77,15 +77,6 @@ TEST(AdmissionController, AgeEvictionIsPartial) {
   EXPECT_DOUBLE_EQ(ctl.miss_ratio(11.0), 0.0);
 }
 
-TEST(AdmissionController, CountsOutcomes) {
-  AdmissionController ctl(count_window(10, 0.5));
-  ctl.count_admitted();
-  ctl.count_admitted();
-  ctl.count_rejected();
-  EXPECT_EQ(ctl.admitted(), 2u);
-  EXPECT_EQ(ctl.rejected(), 1u);
-}
-
 TEST(AdmissionController, RejectsBadOptions) {
   EXPECT_THROW(AdmissionController(count_window(10, 1.5)), CheckFailure);
   EXPECT_THROW(AdmissionController(count_window(0, 0.1)), CheckFailure);

@@ -2,8 +2,9 @@
 // round-trips and truncation rejection, the daemon's periodic delta stream
 // over a raw socket, the dispatcher-level end-to-end path (dispatcher B's
 // CDF model learns from dispatcher A's completions, exactly once), the
-// rejoin backfill riding the same stream with gossip off, and the
-// mixed-version story — retired message types are skipped as unknown.
+// rejoin backfill riding the same stream with gossip off, two dispatchers
+// that submit at once to one daemon each getting their own completions, and
+// the mixed-version story — retired message types are skipped as unknown.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -388,6 +389,48 @@ TEST(GossipE2E, GossipOffDaemonBehavesLikePreGossipBuild) {
   EXPECT_EQ(static_cast<const StreamingCdfModel&>(*b.server_model(0))
                 .observations(),
             0u);
+}
+
+TEST(GossipE2E, TwoDispatchersShareOneDaemon) {
+  // Both dispatchers number their tasks from 0, so the daemon keys its
+  // executors and TaskDone routing by ids of its own. Each dispatcher must
+  // get back exactly its own completions: a misrouted TaskDone shows as one
+  // model's observation more and the other's less.
+  constexpr int kQueries = 200;
+  const auto submit_all = [](net::RemoteDispatcher& dispatcher) {
+    std::vector<std::future<QueryResult>> futures;
+    for (int q = 0; q < kQueries; ++q) {
+      std::vector<net::RemoteTaskSpec> tasks(1);
+      tasks[0].simulated_service_ms = 0.5;
+      futures.push_back(dispatcher.submit(0, std::move(tasks)));
+    }
+    std::uint32_t failed = 0;
+    for (auto& f : futures) failed += f.get().tasks_failed;
+    return failed;
+  };
+  for (std::size_t executors = 1; executors <= 2; ++executors) {
+    SCOPED_TRACE(executors);
+    net::TaskServerOptions server_options;  // gossip off
+    server_options.num_classes = 1;
+    server_options.num_executors = executors;
+    net::TaskServer server(server_options);
+    net::RemoteDispatcher a(one_server_options(server.port()));
+    net::RemoteDispatcher b(one_server_options(server.port()));
+    ASSERT_TRUE(a.wait_for_servers(1, 5000.0));
+    ASSERT_TRUE(b.wait_for_servers(1, 5000.0));
+
+    auto a_failed =
+        std::async(std::launch::async, [&] { return submit_all(a); });
+    auto b_failed =
+        std::async(std::launch::async, [&] { return submit_all(b); });
+    EXPECT_EQ(a_failed.get(), 0u);
+    EXPECT_EQ(b_failed.get(), 0u);
+    EXPECT_EQ(server.tasks_executed(), 2u * kQueries);
+    for (const net::RemoteDispatcher* d : {&a, &b})
+      EXPECT_EQ(static_cast<const StreamingCdfModel&>(*d->server_model(0))
+                    .observations(),
+                static_cast<std::uint64_t>(kQueries));
+  }
 }
 
 TEST(GossipE2E, ModelSyncBackfillStillCoversDisconnectedEras) {

@@ -276,9 +276,8 @@ TEST(HotPathAlloc, WarmFrontDoorAllocatesOnlyThePromise) {
   // A window the warm-up fills: 5 simulated ms is ~1,250 dequeues here.
   options.admission = AdmissionOptions{.window_tasks = 4000, .window_ms = 5.0};
   std::uint64_t observed = 0;
-  QueryFrontDoor door(
-      ShardingOptions{}, options, models,
-      [&observed](std::span<const ServerId>) { ++observed; });
+  QueryFrontDoor door(options, models,
+                      [&observed](std::span<const ServerId>) { ++observed; });
   const std::vector<double> profile(200, 1.0);
   for (ServerId s = 0; s < kServers; ++s)
     door.control().seed_profile(s, profile);
@@ -301,13 +300,13 @@ TEST(HotPathAlloc, WarmFrontDoorAllocatesOnlyThePromise) {
     now += 0.01;
     tasks.assign(1 + i % 4, Task{});
     if (i % 5 == 0) tasks[0].server = static_cast<ServerId>(i % kServers);
-    std::vector<PlacementCandidate>& view = door.candidate_view(0);
+    std::vector<PlacementCandidate>& view = door.candidate_view();
     for (ServerId s = 0; s < kServers; ++s) view.emplace_back((i + s) % 3, s);
     const std::span<const ServerId> placed =
-        door.admit_and_place(0, now, tasks, &Task::server);
+        door.admit_and_place(now, tasks, &Task::server);
     ASSERT_EQ(placed.size(), tasks.size());
     QueryFrontDoor::Begun begun =
-        door.begin(0, now, 0, placed, /*budget_override=*/std::nullopt);
+        door.begin(now, 0, placed, /*budget_override=*/std::nullopt);
     in_flight.push_back(
         {begun.plan.id, begun.plan.fanout, std::move(begun.future)});
     if (in_flight.size() == 64 || i % 3 == 0) {

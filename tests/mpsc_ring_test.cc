@@ -1,9 +1,8 @@
 // Stress tests for the lock-free MPSC submission ring and its integration
 // into Worker. These are the tests the TSan CI job exists for: N producers
 // racing a single consumer across ring wraparound, and submit() racing
-// shutdown(). They must NOT be added to scripts/tsan-skip.txt — there are no
-// wall-clock assertions here, only counting invariants, so they are valid
-// under arbitrary sanitizer slowdown.
+// shutdown(). There are no wall-clock assertions here, only counting
+// invariants, so they are valid under arbitrary sanitizer slowdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
